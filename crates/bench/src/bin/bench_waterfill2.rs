@@ -4,9 +4,9 @@
 //!
 //! 1. **flat_ring 8x16 speedup** — wall time per simulated run with the
 //!    incremental allocator (memoized component replay + keyed stale-event
-//!    cancellation) vs scratch mode (`MHA_SCRATCH_FILL` semantics: every
-//!    component re-solved, stale events popped and version-checked — the
-//!    faithful pre-overhaul engine). The two modes are bit-identical in
+//!    cancellation) vs scratch mode (an [`EngineArena::reference`] arena:
+//!    every component re-solved, stale events popped and version-checked —
+//!    the faithful pre-overhaul engine). The two modes are bit-identical in
 //!    output; only speed differs.
 //! 2. **per-event cost scaling** — ns per processed event at 128→1024
 //!    nodes (ppn 1). The old engine's stale-event storm plus
@@ -20,7 +20,7 @@
 use mha_bench::results_dir;
 use mha_collectives::AllgatherAlgo;
 use mha_sched::{FrozenSchedule, Probe, ProcGrid};
-use mha_simnet::{set_incremental_enabled, ClusterSpec, EngineArena, Simulator};
+use mha_simnet::{ClusterSpec, EngineArena, Simulator};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -46,9 +46,8 @@ impl Probe for WfStats {
 }
 
 /// Mean wall seconds per run over a fixed timing window, through a warm
-/// arena (the campaign runner's hot path).
-fn time_runs(sim: &Simulator, sch: &FrozenSchedule, window: f64) -> f64 {
-    let mut arena = EngineArena::new();
+/// `arena` (the campaign runner's hot path) in whichever mode it was built.
+fn time_runs(sim: &Simulator, sch: &FrozenSchedule, window: f64, mut arena: EngineArena) -> f64 {
     sim.run_in(sch, &mut arena).unwrap(); // warm-up: allocations + memo
     let t0 = Instant::now();
     let mut n = 0u32;
@@ -95,13 +94,10 @@ fn main() {
     let built = AllgatherAlgo::Ring.build(grid, 64 * 1024, &spec).unwrap();
     let sch: &FrozenSchedule = &built.sched;
 
-    set_incremental_enabled(Some(true));
     let mut st = WfStats::default();
     let r = sim.run_probed(sch, &mut st).unwrap();
-    let inc = time_runs(&sim, sch, window);
-    set_incremental_enabled(Some(false));
-    let scratch = time_runs(&sim, sch, window);
-    set_incremental_enabled(None);
+    let inc = time_runs(&sim, sch, window, EngineArena::new());
+    let scratch = time_runs(&sim, sch, window, EngineArena::reference());
 
     let speedup = scratch / inc;
     println!(
@@ -130,7 +126,6 @@ fn main() {
     let _ = writeln!(json, "  }},");
 
     // -- per-event cost scaling, 128 → 1024 nodes -------------------------
-    set_incremental_enabled(Some(true));
     let mut per_event_ns = Vec::new();
     let _ = writeln!(json, "  \"per_event_scaling\": [");
     let node_counts = [128u32, 256, 512, 1024];
@@ -139,7 +134,7 @@ fn main() {
         let built = AllgatherAlgo::Ring.build(grid, 64 * 1024, &spec).unwrap();
         let sch: &FrozenSchedule = &built.sched;
         let events = sim.run(sch).unwrap().events;
-        let per_run = time_runs(&sim, sch, window.min(0.5) * 2.0);
+        let per_run = time_runs(&sim, sch, window.min(0.5) * 2.0, EngineArena::new());
         let ns = per_run / events as f64 * 1e9;
         per_event_ns.push(ns);
         println!(
@@ -153,7 +148,6 @@ fn main() {
             if k + 1 < node_counts.len() { "," } else { "" }
         );
     }
-    set_incremental_enabled(None);
     let _ = writeln!(json, "  ],");
     let scaling = per_event_ns[per_event_ns.len() - 1] / per_event_ns[0];
     println!("per-event cost 1024/128 nodes: {scaling:.2}x (sub-linear target < 8x)");

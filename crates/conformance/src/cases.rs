@@ -96,8 +96,18 @@ impl Case {
 const MSGS: [usize; 4] = [64, 256, 1024, 4096];
 const PPNS: [u32; 4] = [1, 2, 4, 8];
 
-fn pick<T: Copy>(rng: &mut StdRng, xs: &[T]) -> T {
+/// A uniform draw from `xs`.
+pub(crate) fn pick<T: Copy>(rng: &mut StdRng, xs: &[T]) -> T {
     xs[rng.gen_range(0..xs.len())]
+}
+
+/// A fair coin between `heads` and `tails`.
+pub(crate) fn either<T>(rng: &mut StdRng, heads: T, tails: T) -> T {
+    if rng.gen_range(0..2u32) == 0 {
+        heads
+    } else {
+        tails
+    }
 }
 
 /// Draws a random ≥ 3-level topology tree plus a matching hierarchical
@@ -105,11 +115,7 @@ fn pick<T: Copy>(rng: &mut StdRng, xs: &[T]) -> T {
 /// at the leaves. Recursive doubling constrains the node count to a
 /// power of two; everything else is free.
 fn sample_hier(rng: &mut StdRng, msg: usize) -> Case {
-    let inter = if rng.gen_range(0..2u32) == 0 {
-        InterAlgo::Ring
-    } else {
-        InterAlgo::RecursiveDoubling
-    };
+    let inter = either(rng, InterAlgo::Ring, InterAlgo::RecursiveDoubling);
     let nodes = match inter {
         InterAlgo::Ring => rng.gen_range(2..=3),
         InterAlgo::RecursiveDoubling => pick(rng, &[2u32, 4]),
@@ -123,11 +129,7 @@ fn sample_hier(rng: &mut StdRng, msg: usize) -> Case {
     let topo = Topology::from_fanouts(&fanouts);
     let overlap = rng.gen_range(0..2u32) == 0;
     let import_offload = rng.gen_range(0..2u32) == 0;
-    let gather = if rng.gen_range(0..2u32) == 0 {
-        Offload::None
-    } else {
-        Offload::Auto
-    };
+    let gather = either(rng, Offload::None, Offload::Auto);
     let plan = ComposePlan::hierarchical(depth, inter, overlap, import_offload, gather);
     Case {
         family: Family::Hier,
@@ -198,11 +200,7 @@ pub fn sample_case(rng: &mut StdRng, family: Family) -> Case {
                     ProcGrid::single_node(ppn),
                 )
             } else {
-                let inter = if rng.gen_range(0..2u32) == 0 {
-                    InterAlgo::Ring
-                } else {
-                    InterAlgo::RecursiveDoubling
-                };
+                let inter = either(rng, InterAlgo::Ring, InterAlgo::RecursiveDoubling);
                 let nodes = match inter {
                     InterAlgo::Ring => rng.gen_range(2..=4),
                     InterAlgo::RecursiveDoubling => pick(rng, &[2u32, 4]),

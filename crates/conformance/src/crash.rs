@@ -15,58 +15,23 @@
 //!   ([`FaultSpec::node_crash`]): the run must stay invariant-clean and
 //!   the makespan must absorb the full recovery penalty.
 
-use mha_bench::campaign::{run_campaign, CampaignConfig, CampaignPoint, Row};
+use mha_collectives::Built;
 use mha_exec::{
     resume_single, resume_threaded, run_single, run_single_killed, run_threaded_killed,
     BufferStore, CompletionJournal, ExecError, KillPlan,
 };
 use mha_sched::{FrozenSchedule, InvariantProbe};
 use mha_simnet::{ClusterSpec, FaultSpec, Simulator};
-use rand::{rngs::StdRng, Rng, SeedableRng};
+use rand::{rngs::StdRng, Rng};
 
 use crate::cases::{sample_case, Case, Family};
+use crate::runner::{Oracle, Tally};
 
-/// Crash-oracle knobs (all overridable from the environment).
+/// The crash oracle.
 #[derive(Debug, Clone)]
-pub struct CrashOracleConfig {
-    /// Number of random crash cases (`MHA_CRASH_CASES`).
-    pub cases: usize,
-    /// RNG seed (`MHA_CRASH_SEED`); the sweep is deterministic given it.
-    pub seed: u64,
-    /// Worker threads for the kill-harness runs (`MHA_CRASH_THREADS`).
+pub struct CrashOracle {
+    /// Worker threads for the kill-harness runs.
     pub threads: usize,
-}
-
-impl Default for CrashOracleConfig {
-    fn default() -> Self {
-        CrashOracleConfig {
-            cases: 100,
-            seed: 0xDEAD,
-            threads: 4,
-        }
-    }
-}
-
-impl CrashOracleConfig {
-    /// The default configuration with `MHA_CRASH_CASES`, `MHA_CRASH_SEED`
-    /// and `MHA_CRASH_THREADS` applied on top.
-    pub fn from_env() -> Self {
-        let mut cfg = CrashOracleConfig::default();
-        if let Some(v) = env_parse("MHA_CRASH_CASES") {
-            cfg.cases = v;
-        }
-        if let Some(v) = env_parse("MHA_CRASH_SEED") {
-            cfg.seed = v;
-        }
-        if let Some(v) = env_parse("MHA_CRASH_THREADS") {
-            cfg.threads = v;
-        }
-        cfg
-    }
-}
-
-fn env_parse<T: std::str::FromStr>(key: &str) -> Option<T> {
-    std::env::var(key).ok()?.parse().ok()
 }
 
 /// One randomly drawn crash case: a collective configuration plus the seed
@@ -80,61 +45,78 @@ pub struct CrashCase {
     pub kill_seed: u64,
 }
 
-impl CrashCase {
-    /// A short, greppable description for disagreement reports.
-    pub fn describe(&self) -> String {
-        format!("{} kill_seed={:#x}", self.case.describe(), self.kill_seed)
-    }
-}
+impl Oracle for CrashOracle {
+    type Case = CrashCase;
 
-/// Draws one crash case from `family`.
-pub fn sample_crash_case(rng: &mut StdRng, family: Family) -> CrashCase {
-    CrashCase {
-        case: sample_case(rng, family),
-        kill_seed: rng.gen_range(0..u64::MAX),
+    /// Families round-robin, each case with its own kill seed.
+    fn sample(&self, rng: &mut StdRng, i: usize) -> CrashCase {
+        CrashCase {
+            case: sample_case(rng, Family::ALL[i % Family::ALL.len()]),
+            kill_seed: rng.gen_range(0..u64::MAX),
+        }
+    }
+
+    /// The executed side, then the modeled side, of one crash.
+    fn check(&self, crash: &CrashCase) -> Result<Tally, String> {
+        let spec = ClusterSpec::thor();
+        let built = crash
+            .case
+            .build(&spec)
+            .map_err(|e| format!("build failed: {e:?}"))?;
+        if built.sched.n_ops() > 0 {
+            check_executed(&built, crash.kill_seed, self.threads)?;
+            check_modeled(&built, crash, spec)?;
+        }
+        Ok(Tally::family(crash.case.family))
+    }
+
+    fn describe(&self, crash: &CrashCase) -> String {
+        format!("{} kill_seed={:#x}", crash.case.describe(), crash.kill_seed)
     }
 }
 
 /// All buffer contents, in buffer-id order — the byte-exact recovery
 /// oracle compares entire stores, not just the receive buffers, so a
 /// resumed run may not even scribble differently on scratch space.
-fn snapshot(sch: &FrozenSchedule, store: &BufferStore) -> Vec<Vec<u8>> {
+pub fn snapshot(sch: &FrozenSchedule, store: &BufferStore) -> Vec<Vec<u8>> {
     sch.buffers().iter().map(|b| store.read_all(b.id)).collect()
 }
 
 /// A store with every rank's send buffer filled with its distinct pattern.
-fn seeded_store(sch: &FrozenSchedule, built: &mha_collectives::Built) -> BufferStore {
-    let store = BufferStore::new(sch);
+pub fn seeded_store(built: &Built) -> BufferStore {
+    let store = BufferStore::new(&built.sched);
     for (rank, &buf) in built.send.iter().enumerate() {
         store.fill(buf, 0, &mha_exec::rank_pattern(rank, built.msg));
     }
     store
 }
 
-/// Checks the executed side of one crash case: kill at a seeded point on
-/// both executors, resume from the journal, require every buffer
-/// byte-identical to an unfailed run.
-pub fn check_crash_case(crash: &CrashCase, threads: usize) -> Result<(), String> {
-    let spec = ClusterSpec::thor();
-    let built = crash
-        .case
-        .build(&spec)
-        .map_err(|e| format!("build failed: {e:?}"))?;
+/// The executed side: kill at a seeded point on both executors, resume
+/// from the journal, require every buffer byte-identical to an unfailed run.
+fn check_executed(built: &Built, kill_seed: u64, threads: usize) -> Result<(), String> {
     let sch = &built.sched;
     let n = sch.n_ops();
-    if n == 0 {
-        return Ok(());
-    }
 
     // Reference: the unfailed run.
-    let ref_store = seeded_store(sch, &built);
+    let ref_store = seeded_store(built);
     run_single(sch, &ref_store).map_err(|e| format!("reference run: {e}"))?;
     let want = snapshot(sch, &ref_store);
+    // Recovery is complete and byte-identical to the unfailed run.
+    let recovered = |what: &str, store: &BufferStore, journal: &CompletionJournal| {
+        if !journal.is_complete() {
+            let left = n - journal.len();
+            return Err(format!("{what} left {left} of {n} ops unjournaled"));
+        }
+        if snapshot(sch, store) != want {
+            return Err(format!("{what} diverged from the unfailed run"));
+        }
+        Ok(())
+    };
 
     // Deterministic kill on the sequential executor: exactly `k` ops
     // retire, then the run dies; resume must finish the suffix.
-    let k = (crash.kill_seed % n as u64) as usize;
-    let store = seeded_store(sch, &built);
+    let k = (kill_seed % n as u64) as usize;
+    let store = seeded_store(built);
     let journal = CompletionJournal::for_schedule(sch);
     match run_single_killed(sch, &store, &journal, k) {
         Err(ExecError::Killed { done, total }) => {
@@ -152,20 +134,12 @@ pub fn check_crash_case(crash: &CrashCase, threads: usize) -> Result<(), String>
         ));
     }
     resume_single(sch, &store, &journal).map_err(|e| format!("single resume: {e}"))?;
-    if !journal.is_complete() {
-        return Err(format!(
-            "single resume left {} of {n} ops unjournaled",
-            n - journal.len()
-        ));
-    }
-    if snapshot(sch, &store) != want {
-        return Err("single-executor recovery diverged from the unfailed run".into());
-    }
+    recovered("single-executor recovery", &store, &journal)?;
 
     // Seeded worker-thread murder on the pool. A late kill point may let
     // the pool finish first (Ok) — the bytes must match either way.
-    let plan = KillPlan::seeded(crash.kill_seed, n, threads);
-    let store = seeded_store(sch, &built);
+    let plan = KillPlan::seeded(kill_seed, n, threads);
+    let store = seeded_store(built);
     let journal = CompletionJournal::for_schedule(sch);
     match run_threaded_killed(sch, &store, threads, &journal, &plan) {
         Err(ExecError::Killed { done, total }) => {
@@ -181,33 +155,18 @@ pub fn check_crash_case(crash: &CrashCase, threads: usize) -> Result<(), String>
         Ok(()) => {}
         Err(e) => return Err(format!("threaded kill: {e}")),
     }
-    if !journal.is_complete() {
-        return Err(format!(
-            "threaded recovery left {} of {n} ops unjournaled",
-            n - journal.len()
-        ));
-    }
-    if snapshot(sch, &store) != want {
-        return Err(format!(
-            "threaded recovery diverged from the unfailed run (plan {plan:?})"
-        ));
-    }
-    Ok(())
+    recovered(
+        &format!("threaded recovery (plan {plan:?})"),
+        &store,
+        &journal,
+    )
 }
 
-/// Checks the modeled side: the same crash as a simnet node outage. The
-/// seeded node goes down at t = 0 and restarts after twice the fault-free
+/// The modeled side: the same crash as a simnet node outage. The seeded
+/// node goes down at t = 0 and restarts after twice the fault-free
 /// makespan, so a correct engine cannot finish before the restart; the run
 /// must also stay invariant-clean.
-pub fn check_modeled_crash(crash: &CrashCase) -> Result<(), String> {
-    let spec = ClusterSpec::thor();
-    let built = crash
-        .case
-        .build(&spec)
-        .map_err(|e| format!("build failed: {e:?}"))?;
-    if built.sched.n_ops() == 0 {
-        return Ok(());
-    }
+fn check_modeled(built: &Built, crash: &CrashCase, spec: ClusterSpec) -> Result<(), String> {
     let m0 = Simulator::new(spec.clone())
         .map_err(|e| format!("simulator: {e}"))?
         .run(&built.sched)
@@ -236,92 +195,28 @@ pub fn check_modeled_crash(crash: &CrashCase) -> Result<(), String> {
     Ok(())
 }
 
-/// The outcome of a crash-oracle sweep.
-#[derive(Debug)]
-pub struct CrashOracleReport {
-    /// Crash cases checked.
-    pub cases: usize,
-    /// Human-readable description of every disagreement (empty = pass).
-    pub disagreements: Vec<String>,
-}
-
-impl CrashOracleReport {
-    /// Whether every kill schedule recovered byte-identically.
-    pub fn is_clean(&self) -> bool {
-        self.disagreements.is_empty()
-    }
-}
-
-/// Runs the crash-oracle sweep: `cfg.cases` seeded kill schedules,
-/// round-robin across the four families.
-///
-/// Cases are pre-sampled sequentially from the seeded RNG, fanned across
-/// the campaign worker pool (`MHA_CAMPAIGN_WORKERS`), and reassembled in
-/// case order — the report is independent of pool width.
-pub fn run_crash_oracle(cfg: &CrashOracleConfig) -> CrashOracleReport {
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let cases: Vec<CrashCase> = (0..cfg.cases)
-        .map(|i| sample_crash_case(&mut rng, Family::ALL[i % Family::ALL.len()]))
-        .collect();
-
-    let threads = cfg.threads;
-    let points: Vec<CampaignPoint> = cases
-        .into_iter()
-        .map(|crash| {
-            let label = crash.describe();
-            CampaignPoint::custom(label, move |_seed| {
-                let checked =
-                    check_crash_case(&crash, threads).and_then(|()| check_modeled_crash(&crash));
-                Ok(vec![match checked {
-                    Ok(()) => Row::new("ok", vec![1.0]),
-                    Err(e) => Row::note(crash.describe(), e),
-                }])
-            })
-        })
-        .collect();
-    let mut pool = CampaignConfig::from_env();
-    pool.reps = 1;
-    let report = run_campaign(&points, &pool).expect("crash-oracle pool failed");
-
-    let mut disagreements = Vec::new();
-    for pr in &report.results {
-        for row in &pr.rows {
-            if let Some(e) = &row.note {
-                disagreements.push(format!("crash case {} [{}]: {e}", pr.point, row.label));
-            }
-        }
-    }
-    CrashOracleReport {
-        cases: cfg.cases,
-        disagreements,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::SeedableRng;
 
     #[test]
     fn a_single_crash_case_recovers_on_both_sides() {
         let mut rng = StdRng::seed_from_u64(1);
-        let crash = sample_crash_case(&mut rng, Family::Mha);
-        check_crash_case(&crash, 4).unwrap();
-        check_modeled_crash(&crash).unwrap();
+        let crash = CrashOracle { threads: 4 }.sample(&mut rng, 2);
+        assert_eq!(crash.case.family, Family::Mha);
+        CrashOracle { threads: 4 }.check(&crash).unwrap();
     }
 
     #[test]
     fn every_family_survives_a_crash() {
+        let oracle = CrashOracle { threads: 3 };
         let mut rng = StdRng::seed_from_u64(11);
-        for family in Family::ALL {
-            let crash = sample_crash_case(&mut rng, family);
-            check_crash_case(&crash, 3).unwrap_or_else(|e| panic!("{}: {e}", crash.describe()));
+        for i in 0..Family::ALL.len() {
+            let crash = oracle.sample(&mut rng, i);
+            oracle
+                .check(&crash)
+                .unwrap_or_else(|e| panic!("{}: {e}", oracle.describe(&crash)));
         }
-    }
-
-    #[test]
-    fn config_defaults_meet_the_acceptance_bar() {
-        let cfg = CrashOracleConfig::default();
-        assert!(cfg.cases >= 100);
-        assert_eq!(cfg.seed, 0xDEAD);
     }
 }

@@ -23,9 +23,36 @@
 //!    [`mha_exec::verify_allgather`] — kills every seeded mutant, greedily
 //!    shrinking killed mutants to minimal reproductions.
 //!
-//! Run everything with `cargo test -p mha-conformance`; knobs:
-//! `MHA_CONFORMANCE_CASES`, `MHA_CONFORMANCE_SEED`, `MHA_MODEL_ENVELOPE`,
-//! `MHA_FUZZ_BUDGET`.
+//! Every seeded sweep — the differential oracle and its five siblings
+//! ([`faults`], [`crash`], [`traffic`], [`tuned`], [`waterfill`]) — is an
+//! [`Oracle`] impl driven by the one pooled [`runner::run`]: cases are
+//! pre-sampled serially from one seeded RNG, checked across the campaign
+//! worker pool, and reported in case order with summed [`Tally`]s.
+//!
+//! Run everything with `cargo test -p mha-conformance`. The library reads
+//! no environment; the test entry points do, through one strict reader (a
+//! set but malformed value panics, naming the variable):
+//!
+//! | Knob | Default | Oracle |
+//! |---|---|---|
+//! | `MHA_CONFORMANCE_CASES` | 200 | differential, tuned |
+//! | `MHA_CONFORMANCE_SEED` | `0xC0FFEE` | differential, tuned |
+//! | `MHA_MODEL_ENVELOPE` | 2.0 | differential ([`check_model_envelope`]) |
+//! | `MHA_FAULT_CASES` | 100 | faults |
+//! | `MHA_FAULT_SEED` | `0xFA17` | faults |
+//! | `MHA_FAULT_ENVELOPE` | 2.0 | faults |
+//! | `MHA_CRASH_CASES` | 100 | crash |
+//! | `MHA_CRASH_SEED` | `0xDEAD` | crash |
+//! | `MHA_CRASH_THREADS` | 4 | crash |
+//! | `MHA_TRAFFIC_CASES` | 100 | traffic |
+//! | `MHA_TRAFFIC_SEED` | `0x7EA7` | traffic |
+//! | `MHA_WATERFILL_CASES` | 120 | waterfill |
+//! | `MHA_WATERFILL_SEED` | `0x7A7E2` | waterfill |
+//! | `MHA_FUZZ_BUDGET` | 150 | fuzzer |
+//!
+//! Seeds are decimal integers. The campaign pool itself is sized by
+//! `MHA_CAMPAIGN_WORKERS` (see `mha_bench::campaign::CampaignConfig`);
+//! reports are identical at every width.
 
 #![warn(missing_docs)]
 
@@ -35,25 +62,18 @@ pub mod crash;
 pub mod faults;
 pub mod fuzz;
 pub mod oracle;
+pub mod runner;
 pub mod traffic;
 pub mod tuned;
 pub mod waterfill;
 
 pub use cases::{sample_case, Case, Family};
 pub use coverage::check_allgather_coverage;
-pub use crash::{
-    check_crash_case, check_modeled_crash, run_crash_oracle, sample_crash_case, CrashCase,
-    CrashOracleConfig, CrashOracleReport,
-};
-pub use faults::{
-    check_fault_case, run_fault_oracle, sample_fault_case, FaultCase, FaultOracleConfig,
-    FaultOracleReport,
-};
+pub use crash::{CrashCase, CrashOracle};
+pub use faults::{FaultCase, FaultOracle};
 pub use fuzz::{judge, seeded_mutants, shrink, FuzzTarget, Mutation, SchedSpec, Verdict};
-pub use oracle::{check_model_envelope, run_oracle, OracleConfig, OracleReport};
-pub use traffic::{
-    check_traffic_case, run_traffic_oracle, sample_traffic_case, TrafficCase, TrafficOracleConfig,
-    TrafficOracleReport,
-};
-pub use tuned::{run_tuned_oracle, TunedOracleConfig, TunedOracleReport};
-pub use waterfill::{run_waterfill_oracle, WaterfillOracleConfig, WaterfillOracleReport};
+pub use oracle::{check_model_envelope, DifferentialOracle};
+pub use runner::{run, Disagreement, Oracle, Report, Tally};
+pub use traffic::{TrafficCase, TrafficOracle};
+pub use tuned::TunedOracle;
+pub use waterfill::WaterfillOracle;

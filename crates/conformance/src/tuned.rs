@@ -15,66 +15,72 @@
 use mha_collectives::{build, AlgoConfig, TableKey, TunedTable};
 use mha_sched::ProcGrid;
 use mha_simnet::ClusterSpec;
-use rand::{rngs::StdRng, Rng, SeedableRng};
+use rand::{rngs::StdRng, Rng};
 
 use crate::coverage::check_allgather_coverage;
+use crate::runner::{Oracle, Tally};
 
-/// Tuned-choice oracle knobs.
+/// The tuned-choice oracle over one table.
 #[derive(Debug, Clone)]
-pub struct TunedOracleConfig {
-    /// Number of random queries to draw (`MHA_CONFORMANCE_CASES`).
-    pub cases: usize,
-    /// RNG seed (`MHA_CONFORMANCE_SEED`); the run is deterministic given
-    /// the seed and the table.
-    pub seed: u64,
+pub struct TunedOracle {
+    /// The table under test.
+    table: TunedTable,
+    /// The cluster served configs are built for.
+    spec: ClusterSpec,
+    /// Stored keys on ≤ 256-rank grids, the targets of on-key queries
+    /// (kept small so per-case build cost stays low).
+    small_keys: Vec<TableKey>,
 }
 
-impl Default for TunedOracleConfig {
-    fn default() -> Self {
-        TunedOracleConfig {
-            cases: 200,
-            seed: 0xC0FFEE,
+impl TunedOracle {
+    /// An oracle serving from `table` on `spec`.
+    pub fn new(table: TunedTable, spec: ClusterSpec) -> Self {
+        let small_keys = table
+            .sorted_entries()
+            .into_iter()
+            .map(|(k, _)| k)
+            .filter(|k| k.nodes * k.ppn <= 256)
+            .collect();
+        TunedOracle {
+            table,
+            spec,
+            small_keys,
         }
     }
 }
 
-impl TunedOracleConfig {
-    /// The default configuration with `MHA_CONFORMANCE_CASES` and
-    /// `MHA_CONFORMANCE_SEED` applied on top.
-    pub fn from_env() -> Self {
-        let mut cfg = TunedOracleConfig::default();
-        if let Ok(v) = std::env::var("MHA_CONFORMANCE_CASES") {
-            if let Ok(v) = v.parse() {
-                cfg.cases = v;
-            }
+impl Oracle for TunedOracle {
+    /// `(grid, message size, surviving rails)`: one lookup query.
+    type Case = (ProcGrid, usize, u8);
+
+    /// Every fourth query aims at a stored key (exact-probe regime); the
+    /// rest roam the shape space (fallback + coercion regime).
+    fn sample(&self, rng: &mut StdRng, i: usize) -> Self::Case {
+        if i.is_multiple_of(4) {
+            sample_on_key(rng, &self.small_keys).unwrap_or_else(|| sample_roaming(rng))
+        } else {
+            sample_roaming(rng)
         }
-        if let Ok(v) = std::env::var("MHA_CONFORMANCE_SEED") {
-            if let Ok(v) = v.parse() {
-                cfg.seed = v;
-            }
-        }
-        cfg
     }
-}
 
-/// The outcome of a tuned-choice sweep.
-#[derive(Debug)]
-pub struct TunedOracleReport {
-    /// Queries checked.
-    pub cases: usize,
-    /// Queries answered by an exact table probe.
-    pub exact_hits: usize,
-    /// Queries answered through the nearest-neighbor fallback (or the
-    /// empty-table default).
-    pub fallbacks: usize,
-    /// Human-readable description of every failure (empty = pass).
-    pub failures: Vec<String>,
-}
+    fn check(&self, &(grid, msg, rails_up): &Self::Case) -> Result<Tally, String> {
+        let exact = self
+            .table
+            .get(&TableKey::for_query(grid, msg, rails_up))
+            .is_some();
+        let served = self.table.lookup(grid, msg, rails_up);
+        check_served(&served, grid, msg, &self.spec)
+            .map_err(|e| format!("{e} [served {}]", served.to_kv()))?;
+        Ok(Tally {
+            exact_hits: usize::from(exact),
+            fallbacks: usize::from(!exact),
+            ..Tally::default()
+        })
+    }
 
-impl TunedOracleReport {
-    /// Whether the sweep found no failure.
-    pub fn is_clean(&self) -> bool {
-        self.failures.is_empty()
+    fn describe(&self, (grid, msg, rails_up): &Self::Case) -> String {
+        let (nodes, ppn) = (grid.nodes(), grid.ppn());
+        format!("{nodes}x{ppn} msg={msg} rails_up={rails_up}")
     }
 }
 
@@ -92,8 +98,7 @@ fn sample_roaming(rng: &mut StdRng) -> (ProcGrid, usize, u8) {
 }
 
 /// A query aimed at a stored key (message drawn inside the key's bucket),
-/// so the exact-probe serving regime is exercised too. Keys are limited
-/// to ≤ 256-rank grids to keep per-case build cost small.
+/// so the exact-probe serving regime is exercised too.
 fn sample_on_key(rng: &mut StdRng, keys: &[TableKey]) -> Option<(ProcGrid, usize, u8)> {
     if keys.is_empty() {
         return None;
@@ -102,56 +107,6 @@ fn sample_on_key(rng: &mut StdRng, keys: &[TableKey]) -> Option<(ProcGrid, usize
     let lo = 1usize << k.msg_bucket;
     let msg = lo + rng.gen_range(0..lo);
     Some((ProcGrid::new(k.nodes, k.ppn), msg, k.rails_up))
-}
-
-/// Runs the tuned-choice oracle: `cfg.cases` seeded random queries
-/// against `table`, each served config checked for grid validity, a
-/// successful dispatch, and exact receive-buffer coverage.
-pub fn run_tuned_oracle(
-    table: &TunedTable,
-    spec: &ClusterSpec,
-    cfg: &TunedOracleConfig,
-) -> TunedOracleReport {
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let small_keys: Vec<TableKey> = table
-        .sorted_entries()
-        .into_iter()
-        .map(|(k, _)| k)
-        .filter(|k| k.nodes * k.ppn <= 256)
-        .collect();
-    let mut report = TunedOracleReport {
-        cases: cfg.cases,
-        exact_hits: 0,
-        fallbacks: 0,
-        failures: Vec::new(),
-    };
-    for case in 0..cfg.cases {
-        // Every fourth case aims at a stored key (exact-probe regime);
-        // the rest roam the shape space (fallback + coercion regime).
-        let (grid, msg, rails_up) = if case % 4 == 0 {
-            sample_on_key(&mut rng, &small_keys).unwrap_or_else(|| sample_roaming(&mut rng))
-        } else {
-            sample_roaming(&mut rng)
-        };
-        if table
-            .get(&TableKey::for_query(grid, msg, rails_up))
-            .is_some()
-        {
-            report.exact_hits += 1;
-        } else {
-            report.fallbacks += 1;
-        }
-        let served = table.lookup(grid, msg, rails_up);
-        if let Err(e) = check_served(&served, grid, msg, spec) {
-            report.failures.push(format!(
-                "case {case} ({}x{} msg={msg} rails_up={rails_up}): {e} [served {}]",
-                grid.nodes(),
-                grid.ppn(),
-                served.to_kv()
-            ));
-        }
-    }
-    report
 }
 
 fn check_served(
@@ -171,18 +126,15 @@ fn check_served(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::run;
+    use mha_bench::campaign::CampaignConfig;
 
     #[test]
     fn empty_table_serves_correct_defaults_everywhere() {
-        let table = TunedTable::new(0);
-        let spec = ClusterSpec::thor();
-        let cfg = TunedOracleConfig {
-            cases: 40,
-            seed: 11,
-        };
-        let report = run_tuned_oracle(&table, &spec, &cfg);
-        assert_eq!(report.fallbacks, 40);
-        assert!(report.is_clean(), "{:?}", report.failures);
+        let oracle = TunedOracle::new(TunedTable::new(0), ClusterSpec::thor());
+        let report = run(&oracle, 40, 11, &CampaignConfig::default());
+        report.assert_clean();
+        assert_eq!(report.tally.fallbacks, 40);
     }
 
     #[test]
@@ -204,13 +156,9 @@ mod tests {
                 ..AlgoConfig::default()
             },
         );
-        let spec = ClusterSpec::thor();
-        let cfg = TunedOracleConfig {
-            cases: 60,
-            seed: 23,
-        };
-        let report = run_tuned_oracle(&table, &spec, &cfg);
-        assert!(report.is_clean(), "{:?}", report.failures);
-        assert!(report.fallbacks > 0);
+        let oracle = TunedOracle::new(table, ClusterSpec::thor());
+        let report = run(&oracle, 60, 23, &CampaignConfig::default());
+        report.assert_clean();
+        assert!(report.tally.fallbacks > 0);
     }
 }

@@ -9,103 +9,83 @@
 //! sweep run under random rail-fault timelines so the stall/retry paths
 //! are differenced too.
 
-use mha_simnet::{set_incremental_enabled, ClusterSpec, FaultSpec, SimResult, Simulator};
-use rand::{rngs::StdRng, Rng, SeedableRng};
+use mha_simnet::{ClusterSpec, EngineArena, FaultSpec, SimResult, Simulator};
+use rand::{rngs::StdRng, Rng};
 
-use crate::cases::{sample_case, Family};
+use crate::cases::{sample_case, Case, Family};
+use crate::runner::{Oracle, Tally};
 
-/// Waterfill-oracle knobs (all overridable from the environment).
+/// The equivalence oracle: each case is simulated through a default
+/// (incremental) [`EngineArena`] and a [`EngineArena::reference`] one, and
+/// every observable is compared bit for bit. The mode is fixed per arena,
+/// so cases run concurrently on the campaign pool.
 #[derive(Debug, Clone)]
-pub struct WaterfillOracleConfig {
-    /// Number of random schedules to difference (`MHA_WATERFILL_CASES`).
-    pub cases: usize,
-    /// RNG seed (`MHA_WATERFILL_SEED`); the sweep is deterministic given
-    /// it.
-    pub seed: u64,
-}
+pub struct WaterfillOracle;
 
-impl Default for WaterfillOracleConfig {
-    fn default() -> Self {
-        WaterfillOracleConfig {
-            cases: 120,
-            seed: 0x7A7E2,
-        }
+impl Oracle for WaterfillOracle {
+    /// A schedule to difference, optionally under a fault timeline.
+    type Case = (Case, Option<FaultSpec>);
+
+    /// Cases round-robin across the four families; every third runs under
+    /// a random fault timeline so the stall/retry/backoff machinery is
+    /// differenced too.
+    fn sample(&self, rng: &mut StdRng, i: usize) -> Self::Case {
+        let case = sample_case(rng, Family::ALL[i % Family::ALL.len()]);
+        let faults = (i % 3 == 2).then(|| sample_faults(rng, ClusterSpec::thor().rails));
+        (case, faults)
     }
-}
 
-impl WaterfillOracleConfig {
-    /// The default configuration with `MHA_WATERFILL_CASES` and
-    /// `MHA_WATERFILL_SEED` applied on top.
-    pub fn from_env() -> Self {
-        let mut cfg = WaterfillOracleConfig::default();
-        if let Some(v) = env_parse("MHA_WATERFILL_CASES") {
-            cfg.cases = v;
+    fn check(&self, (case, faults): &Self::Case) -> Result<Tally, String> {
+        let spec = ClusterSpec::thor();
+        let built = case
+            .build(&spec)
+            .map_err(|e| format!("build failed: {e}"))?;
+        let sim = match faults {
+            Some(f) => Simulator::with_faults(spec, f.clone()),
+            None => Simulator::new(spec),
         }
-        if let Some(v) = env_parse("MHA_WATERFILL_SEED") {
-            cfg.seed = v;
+        .map_err(|e| format!("simulator: {e}"))?;
+        let inc = sim.run_in(&built.sched, &mut EngineArena::new());
+        let scr = sim.run_in(&built.sched, &mut EngineArena::reference());
+        match (inc, scr) {
+            (Ok(inc), Ok(scr)) => diff(&inc, &scr).map_or(Ok(()), Err)?,
+            (Err(_), Err(_)) => {}
+            (inc, scr) => {
+                let (i, s) = (inc.err(), scr.err());
+                return Err(format!("one engine errored ({i:?} vs {s:?})"));
+            }
         }
-        cfg
+        Ok(Tally {
+            faulted: usize::from(faults.is_some()),
+            ..Tally::default()
+        })
     }
-}
 
-fn env_parse<T: std::str::FromStr>(key: &str) -> Option<T> {
-    std::env::var(key).ok()?.parse().ok()
-}
-
-/// The outcome of an equivalence sweep.
-#[derive(Debug)]
-pub struct WaterfillOracleReport {
-    /// Schedules differenced.
-    pub cases: usize,
-    /// How many ran under a random fault timeline.
-    pub faulted: usize,
-    /// Human-readable description of every divergence (empty = pass).
-    pub disagreements: Vec<String>,
-}
-
-impl WaterfillOracleReport {
-    /// Whether the sweep found no divergence.
-    pub fn is_clean(&self) -> bool {
-        self.disagreements.is_empty()
+    fn describe(&self, (case, faults): &Self::Case) -> String {
+        let tag = if faults.is_some() { " [faulted]" } else { "" };
+        format!("{}{tag}", case.describe())
     }
 }
 
 /// First bitwise difference between the two engines' results, if any.
 fn diff(inc: &SimResult, scr: &SimResult) -> Option<String> {
-    if inc.makespan.to_bits() != scr.makespan.to_bits() {
-        return Some(format!(
-            "makespan {} (inc) vs {} (scratch)",
-            inc.makespan, scr.makespan
-        ));
-    }
     if inc.events != scr.events {
-        return Some(format!(
-            "event count {} (inc) vs {} (scratch)",
-            inc.events, scr.events
-        ));
+        let (a, b) = (inc.events, scr.events);
+        return Some(format!("event count {a} (inc) vs {b} (scratch)"));
     }
-    if inc.op_end.len() != scr.op_end.len() {
-        return Some("op_end length mismatch".into());
-    }
-    for (i, (a, b)) in inc.op_end.iter().zip(&scr.op_end).enumerate() {
-        if a.to_bits() != b.to_bits() {
-            return Some(format!("op_end[{i}] {a} (inc) vs {b} (scratch)"));
+    let first = |name: &str, a: &[f64], b: &[f64]| {
+        if a.len() != b.len() {
+            return Some(format!("{name} length mismatch"));
         }
-    }
-    for (i, (a, b)) in inc
-        .resource_bytes
-        .iter()
-        .zip(&scr.resource_bytes)
-        .enumerate()
-    {
-        if a.to_bits() != b.to_bits() {
-            return Some(format!(
-                "resource_bytes[{}] {a} (inc) vs {b} (scratch)",
-                inc.resource_labels[i]
-            ));
-        }
-    }
-    None
+        let i = a
+            .iter()
+            .zip(b)
+            .position(|(x, y)| x.to_bits() != y.to_bits())?;
+        Some(format!("{name}[{i}] {} (inc) vs {} (scratch)", a[i], b[i]))
+    };
+    first("makespan", &[inc.makespan], &[scr.makespan])
+        .or_else(|| first("op_end", &inc.op_end, &scr.op_end))
+        .or_else(|| first("resource_bytes", &inc.resource_bytes, &scr.resource_bytes))
 }
 
 /// A random fault timeline against a `rails`-rail cluster: one rail goes
@@ -125,77 +105,4 @@ fn sample_faults(rng: &mut StdRng, rails: u8) -> FaultSpec {
     };
     faults.retry_timeout = rng.gen_range(5.0e-6..50.0e-6);
     faults
-}
-
-/// Runs the equivalence sweep: each drawn schedule is simulated once with
-/// the incremental engine and once with the scratch engine, and every
-/// observable is compared bit for bit.
-///
-/// The incremental override is flipped around each run, so the sweep runs
-/// cases sequentially on the calling thread (both engine modes are
-/// bit-identical by contract, so a concurrent *other* test only changes
-/// speed, never results).
-pub fn run_waterfill_oracle(cfg: &WaterfillOracleConfig) -> WaterfillOracleReport {
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut report = WaterfillOracleReport {
-        cases: 0,
-        faulted: 0,
-        disagreements: Vec::new(),
-    };
-    for i in 0..cfg.cases {
-        let family = Family::ALL[i % Family::ALL.len()];
-        let case = sample_case(&mut rng, family);
-        let spec = ClusterSpec::thor();
-        let built = match case.build(&spec) {
-            Ok(b) => b,
-            Err(e) => {
-                report
-                    .disagreements
-                    .push(format!("{}: build failed: {e}", case.describe()));
-                continue;
-            }
-        };
-        // Every third case runs under a random fault timeline so the
-        // stall/retry/backoff machinery is differenced too.
-        let (sim, faulted) = if i % 3 == 2 {
-            let faults = sample_faults(&mut rng, spec.rails);
-            (
-                Simulator::with_faults(spec, faults).expect("sampled faults validate"),
-                true,
-            )
-        } else {
-            (Simulator::new(spec).expect("thor spec validates"), false)
-        };
-        report.cases += 1;
-        report.faulted += usize::from(faulted);
-
-        set_incremental_enabled(Some(true));
-        let inc = sim.run(&built.sched);
-        set_incremental_enabled(Some(false));
-        let scr = sim.run(&built.sched);
-        set_incremental_enabled(None);
-
-        match (inc, scr) {
-            (Ok(inc), Ok(scr)) => {
-                if let Some(d) = diff(&inc, &scr) {
-                    report.disagreements.push(format!(
-                        "{}{}: {d}",
-                        case.describe(),
-                        if faulted { " [faulted]" } else { "" }
-                    ));
-                }
-            }
-            (inc, scr) => {
-                if inc.is_err() != scr.is_err() {
-                    report.disagreements.push(format!(
-                        "{}: one engine errored ({:?} vs {:?})",
-                        case.describe(),
-                        inc.err(),
-                        scr.err()
-                    ));
-                }
-            }
-        }
-    }
-    report
 }

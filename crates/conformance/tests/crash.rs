@@ -9,39 +9,33 @@
 //!   (resume twice ≡ resume once) and a journal claiming an op whose
 //!   dependencies are incomplete is rejected with a typed error.
 
-use mha_conformance::{run_crash_oracle, sample_case, CrashOracleConfig, Family};
+mod common;
+
+use common::knob;
+use mha_bench::campaign::CampaignConfig;
+use mha_conformance::crash::{seeded_store, snapshot};
+use mha_conformance::{run, sample_case, CrashOracle, Family};
 use mha_exec::{
-    resume_single, resume_threaded, run_single, run_single_killed, BufferStore, CompletionJournal,
-    ExecError, JournalError,
+    resume_single, resume_threaded, run_single, run_single_killed, CompletionJournal, ExecError,
+    JournalError,
 };
-use mha_sched::FrozenSchedule;
 use mha_simnet::ClusterSpec;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 #[test]
 fn crash_oracle_sweep_has_zero_disagreements() {
-    let cfg = CrashOracleConfig::from_env();
-    assert!(cfg.cases >= 100, "acceptance bar requires >= 100 cases");
-    let report = run_crash_oracle(&cfg);
-    assert_eq!(report.cases, cfg.cases);
-    assert!(
-        report.is_clean(),
-        "{} disagreement(s):\n{}",
-        report.disagreements.len(),
-        report.disagreements.join("\n")
+    let cases = knob("MHA_CRASH_CASES", 100);
+    assert!(cases >= 100, "acceptance bar requires >= 100 cases");
+    let oracle = CrashOracle {
+        threads: knob("MHA_CRASH_THREADS", 4),
+    };
+    let report = run(
+        &oracle,
+        cases,
+        knob("MHA_CRASH_SEED", 0xDEAD),
+        &CampaignConfig::from_env(),
     );
-}
-
-fn seeded_store(sch: &FrozenSchedule, built: &mha_collectives::Built) -> BufferStore {
-    let store = BufferStore::new(sch);
-    for (rank, &buf) in built.send.iter().enumerate() {
-        store.fill(buf, 0, &mha_exec::rank_pattern(rank, built.msg));
-    }
-    store
-}
-
-fn snapshot(sch: &FrozenSchedule, store: &BufferStore) -> Vec<Vec<u8>> {
-    sch.buffers().iter().map(|b| store.read_all(b.id)).collect()
+    report.assert_clean();
 }
 
 /// 200 seeded (schedule, kill-point) pairs: after a kill at op `k`,
@@ -62,7 +56,7 @@ fn journal_replay_is_idempotent_over_200_pairs() {
         }
         let k = rng.gen_range(0..n);
 
-        let store = seeded_store(sch, &built);
+        let store = seeded_store(&built);
         let journal = CompletionJournal::for_schedule(sch);
         match run_single_killed(sch, &store, &journal, k) {
             Err(ExecError::Killed { .. }) => {}
@@ -95,7 +89,7 @@ fn journal_replay_is_idempotent_over_200_pairs() {
         );
 
         // And the recovered bytes match an unfailed run.
-        let ref_store = seeded_store(sch, &built);
+        let ref_store = seeded_store(&built);
         run_single(sch, &ref_store).unwrap();
         assert_eq!(
             once,
@@ -132,7 +126,7 @@ fn dependency_incomplete_journals_are_rejected_typed() {
             "{}",
             case.describe()
         );
-        let store = seeded_store(sch, &built);
+        let store = seeded_store(&built);
         assert!(matches!(
             resume_single(sch, &store, &journal),
             Err(ExecError::Journal(JournalError::DepIncomplete { .. }))

@@ -2,6 +2,9 @@
 //! shrink to verdict-preserving minimal reproductions, and survivors of
 //! random fuzzing are genuinely correct schedules.
 
+mod common;
+
+use common::knob;
 use mha_collectives::mha::MhaInterConfig;
 use mha_collectives::AllgatherAlgo;
 use mha_conformance::fuzz::{apply, find_killable_edge_drop, random_mutation};
@@ -78,10 +81,7 @@ fn killed_mutants_shrink_to_minimal_reproductions() {
 
 #[test]
 fn random_fuzzing_survivors_are_genuinely_correct() {
-    let budget: usize = std::env::var("MHA_FUZZ_BUDGET")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(150);
+    let budget: usize = knob("MHA_FUZZ_BUDGET", 150);
     let targets = targets();
     let mut rng = StdRng::seed_from_u64(0xF022);
     let (mut applied, mut killed) = (0usize, 0usize);

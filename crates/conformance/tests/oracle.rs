@@ -1,25 +1,35 @@
 //! The differential-oracle acceptance bar: ≥ 200 random configurations,
-//! all three families, zero disagreements, plus the model envelope.
+//! all four families, zero disagreements, plus the model envelope.
 
-use mha_conformance::{run_oracle, Family, OracleConfig};
+mod common;
+
+use common::knob;
+use mha_bench::campaign::CampaignConfig;
+use mha_conformance::{check_model_envelope, run, DifferentialOracle, Family};
 
 #[test]
 fn oracle_sweep_has_zero_disagreements() {
-    let cfg = OracleConfig::from_env();
-    assert!(cfg.cases >= 200, "acceptance bar requires >= 200 cases");
-    let report = run_oracle(&cfg);
-    assert_eq!(report.cases, cfg.cases);
+    let cases = knob("MHA_CONFORMANCE_CASES", 200);
+    assert!(cases >= 200, "acceptance bar requires >= 200 cases");
+    let seed = knob("MHA_CONFORMANCE_SEED", 0xC0FFEE);
+    let report = run(
+        &DifferentialOracle::default(),
+        cases,
+        seed,
+        &CampaignConfig::from_env(),
+    );
+    report.assert_clean();
     for f in Family::ALL {
         assert!(
-            report.by_family[f.index()] >= cfg.cases / 4,
+            report.tally.by_family[f.index()] >= cases / 4,
             "{f:?} under-covered: {:?}",
-            report.by_family
+            report.tally.by_family
         );
     }
+    let failures = check_model_envelope(knob("MHA_MODEL_ENVELOPE", 2.0));
     assert!(
-        report.is_clean(),
-        "{} disagreement(s):\n{}",
-        report.disagreements.len(),
-        report.disagreements.join("\n")
+        failures.is_empty(),
+        "model envelope:\n{}",
+        failures.join("\n")
     );
 }

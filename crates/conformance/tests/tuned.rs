@@ -1,8 +1,12 @@
 //! The tuned-choice acceptance bar: the shipped tuning table serves a
 //! correct Allgather for every seeded random query — on-grid and off.
 
+mod common;
+
+use common::knob;
+use mha_bench::campaign::CampaignConfig;
 use mha_collectives::TunedTable;
-use mha_conformance::{run_tuned_oracle, TunedOracleConfig};
+use mha_conformance::{run, TunedOracle};
 
 #[test]
 fn shipped_table_serves_only_correct_allgathers() {
@@ -14,19 +18,17 @@ fn shipped_table_serves_only_correct_allgathers() {
             path.display()
         )
     });
-    let spec = mha_simnet::ClusterSpec::thor();
-    let cfg = TunedOracleConfig::from_env();
-    assert!(cfg.cases >= 200, "acceptance bar requires >= 200 queries");
-    let report = run_tuned_oracle(&table, &spec, &cfg);
-    assert_eq!(report.cases, cfg.cases);
+    let cases = knob("MHA_CONFORMANCE_CASES", 200);
+    assert!(cases >= 200, "acceptance bar requires >= 200 queries");
+    let seed = knob("MHA_CONFORMANCE_SEED", 0xC0FFEE);
+    let oracle = TunedOracle::new(table, mha_simnet::ClusterSpec::thor());
+    let report = run(&oracle, cases, seed, &CampaignConfig::from_env());
+    report.assert_clean();
     // The query sampler roams off the tuned grid on purpose: both serving
     // regimes must be exercised.
-    assert!(report.exact_hits > 0, "no query ever hit the table");
-    assert!(report.fallbacks > 0, "no query ever exercised the fallback");
+    assert!(report.tally.exact_hits > 0, "no query ever hit the table");
     assert!(
-        report.is_clean(),
-        "{} incorrect serve(s):\n{}",
-        report.failures.len(),
-        report.failures.join("\n")
+        report.tally.fallbacks > 0,
+        "no query ever exercised the fallback"
     );
 }

@@ -318,9 +318,9 @@ struct EngineState {
     /// Pending `Retry` per flow slot, same convention. A live flow holds at
     /// most one of the two: running ⇒ one `Finish`, stalled ⇒ one `Retry`.
     retry_ev: Vec<(f64, u64)>,
-    /// Resolved [`incremental_enabled`] for this run: gates both keyed
-    /// event cancellation and the memo cache. Off = the faithful
-    /// recompute-from-scratch baseline (stale events pop and are
+    /// The owning arena's mode (see [`EngineArena::reference`]): gates
+    /// both keyed event cancellation and the memo cache. Off = the
+    /// faithful recompute-from-scratch baseline (stale events pop and are
     /// version-checked away, every component is re-solved).
     incremental: bool,
     filler: IncrementalFiller,
@@ -370,7 +370,7 @@ impl EngineState {
     /// descending order, so a warm run pops slots 0, 1, 2, … — exactly the
     /// indices a cold run assigns by pushing. Every field an event can
     /// observe is therefore bit-identical between cold and warm runs.
-    fn reset(&mut self, n_res: usize, faults_active: bool, retry_timeout: f64) {
+    fn reset(&mut self, n_res: usize, faults_active: bool, retry_timeout: f64, incremental: bool) {
         for f in &mut self.flows {
             f.resources.clear();
             f.cap = 1.0;
@@ -406,7 +406,7 @@ impl EngineState {
         self.finish_ev.resize(self.flows.len(), (0.0, 0));
         self.retry_ev.clear();
         self.retry_ev.resize(self.flows.len(), (0.0, 0));
-        self.incremental = incremental_enabled();
+        self.incremental = incremental;
         self.filler.reset(n_res);
         self.seq = 0;
         self.active_flows = 0;
@@ -817,9 +817,13 @@ impl EngineState {
 ///
 /// An arena is not tied to one simulator or schedule; it revalidates its
 /// cached resource map against the run's `(grid, spec)` and rebuilds it on
-/// mismatch.
+/// mismatch. Its engine mode is fixed at construction: [`EngineArena::new`]
+/// runs the incremental allocator, [`EngineArena::reference`] the scratch
+/// baseline.
 #[derive(Debug, Default)]
 pub struct EngineArena {
+    /// Runs take the scratch path (see [`EngineArena::reference`]).
+    reference: bool,
     st: EngineState,
     ready: Option<ReadySet>,
     op_flows_left: Vec<u32>,
@@ -846,6 +850,18 @@ impl EngineArena {
     /// An empty arena; buffers grow on first use and are kept thereafter.
     pub fn new() -> Self {
         EngineArena::default()
+    }
+
+    /// An empty arena whose runs take the scratch reference path: stale
+    /// events pop and are version-checked away, and every component is
+    /// re-solved (no memo). Bit-identical to [`EngineArena::new`] on every
+    /// observable — only speed differs; the conformance waterfill oracle
+    /// differences the two.
+    pub fn reference() -> Self {
+        EngineArena {
+            reference: true,
+            ..EngineArena::default()
+        }
     }
 }
 
@@ -884,49 +900,6 @@ pub fn set_check_enabled(v: Option<bool>) {
         Some(true) => 2,
     };
     CHECK_OVERRIDE.store(code, std::sync::atomic::Ordering::SeqCst);
-}
-
-/// Programmatic override of the incremental allocator: 0 = none (fall back
-/// to the cached `MHA_SCRATCH_FILL` read), 1 = forced scratch, 2 = forced
-/// incremental.
-static INCR_OVERRIDE: std::sync::atomic::AtomicU8 = std::sync::atomic::AtomicU8::new(0);
-
-/// Whether the incremental max-min allocator (memoized component replay +
-/// keyed stale-event cancellation) is on. It is on by default and
-/// **behavior-invisible**: every simulation result is bit-identical either
-/// way — only speed changes. The scratch path exists as the
-/// differential-testing reference (the conformance `waterfill` oracle runs
-/// both and compares bits).
-///
-/// Resolution order mirrors [`check_enabled`]: the programmatic override
-/// ([`set_incremental_enabled`]) wins; otherwise incremental unless the
-/// `MHA_SCRATCH_FILL` environment variable is set (to anything other than
-/// empty or `0`), read once per process and cached.
-pub fn incremental_enabled() -> bool {
-    match INCR_OVERRIDE.load(std::sync::atomic::Ordering::SeqCst) {
-        1 => false,
-        2 => true,
-        _ => {
-            static SCRATCH: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-            !*SCRATCH.get_or_init(|| {
-                std::env::var("MHA_SCRATCH_FILL").is_ok_and(|v| !v.is_empty() && v != "0")
-            })
-        }
-    }
-}
-
-/// Forces the incremental allocator on (`Some(true)`), off — i.e. scratch
-/// mode — (`Some(false)`), or back to the cached `MHA_SCRATCH_FILL`
-/// environment read (`None`). Thread-safe; the mode is sampled once per
-/// run, and both modes produce bit-identical results, so flipping this
-/// concurrently with other runs only affects their speed.
-pub fn set_incremental_enabled(v: Option<bool>) {
-    let code = match v {
-        None => 0,
-        Some(false) => 1,
-        Some(true) => 2,
-    };
-    INCR_OVERRIDE.store(code, std::sync::atomic::Ordering::SeqCst);
 }
 
 /// A discrete-event simulator for one cluster specification.
@@ -1079,6 +1052,7 @@ impl Simulator {
             });
         }
         let EngineArena {
+            reference,
             st,
             ready,
             op_flows_left,
@@ -1120,6 +1094,7 @@ impl Simulator {
             rmap.len(),
             faults_active,
             self.faults.as_ref().map_or(0.0, |f| f.retry_timeout),
+            !*reference,
         );
 
         // Fault boundaries enter the heap before the roots so a fault at
@@ -2743,35 +2718,40 @@ mod tests {
     /// The incremental engine (calendar queue + keyed memo + argmin
     /// rescheduling) and the scratch engine (binary heap, re-solve every
     /// component) must agree bit-for-bit on every observable — on a mixed
-    /// striped/CMA schedule and on a faulty one exercising stall/retry.
+    /// striped/CMA schedule and on a faulty one exercising stall/retry,
+    /// cold and through warm arenas.
+    ///
+    /// The mode belongs to the arena, not the process: a default and a
+    /// reference arena run side by side on two threads, and each must take
+    /// its own path — the incremental one replays memoized component
+    /// solves, the reference one never touches the memo — so the
+    /// conformance waterfill oracle can never compare one mode with itself.
     #[test]
     fn incremental_and_scratch_engines_agree_bit_for_bit() {
-        let run_both = |f: &dyn Fn() -> SimResult, what: &str| {
-            set_incremental_enabled(Some(true));
-            let inc = f();
-            set_incremental_enabled(Some(false));
-            let scr = f();
-            set_incremental_enabled(None);
-            assert_bits_eq(&inc, &scr, what);
-        };
-        let sch = mixed_sched();
-        let s = sim();
-        run_both(&|| s.run(&sch).unwrap(), "mixed schedule");
-
-        let fsch = rail_sch(1 << 20, Channel::AllRails);
         let mut faults = FaultSpec::flap(0, 50e-6, 120e-6);
         faults.retry_timeout = 10e-6;
         let fs = Simulator::with_faults(ClusterSpec::thor(), faults).unwrap();
-        run_both(&|| fs.run(&fsch).unwrap(), "flapping rail");
-
-        // And through a shared warm arena, where slot recycling and the
-        // calendar's learned geometry persist across runs.
-        let mut arena = EngineArena::new();
-        set_incremental_enabled(Some(true));
-        let inc = s.run_in(&sch, &mut arena).unwrap();
-        set_incremental_enabled(Some(false));
-        let scr = s.run_in(&sch, &mut arena).unwrap();
-        set_incremental_enabled(None);
-        assert_bits_eq(&inc, &scr, "warm arena");
+        let cases = [
+            (sim(), mixed_sched(), "mixed schedule"),
+            (fs, rail_sch(1 << 20, Channel::AllRails), "flapping rail"),
+        ];
+        for (s, sch, what) in &cases {
+            let run = |mut arena: EngineArena| {
+                let runs: Vec<SimResult> =
+                    (0..3).map(|_| s.run_in(sch, &mut arena).unwrap()).collect();
+                (runs, arena.st.filler.stats())
+            };
+            let ((inc, inc_stats), (scr, scr_stats)) = std::thread::scope(|t| {
+                let inc = t.spawn(|| run(EngineArena::new()));
+                let scr = t.spawn(|| run(EngineArena::reference()));
+                (inc.join().unwrap(), scr.join().unwrap())
+            });
+            assert!(inc_stats.hits > 0, "{what}: memo never replayed");
+            let scr_memo = (scr_stats.hits, scr_stats.misses);
+            assert_eq!(scr_memo, (0, 0), "{what}: reference arena used the memo");
+            for (rep, (a, b)) in inc.iter().zip(&scr).enumerate() {
+                assert_bits_eq(a, b, &format!("{what} rep {rep}"));
+            }
+        }
     }
 }

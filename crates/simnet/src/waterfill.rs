@@ -460,8 +460,8 @@ pub struct FillStats {
 ///   [`mha_sched::Probe::waterfill`].
 ///
 /// Both caches are behavior-invisible by construction: disabling them
-/// (`MHA_SCRATCH_FILL=1`, see [`crate::set_incremental_enabled`]) changes
-/// only speed. The conformance waterfill oracle asserts exactly that.
+/// (an arena built with [`crate::EngineArena::reference`]) changes only
+/// speed. The conformance waterfill oracle asserts exactly that.
 #[derive(Debug, Default)]
 pub struct IncrementalFiller {
     scratch: WaterFiller,
