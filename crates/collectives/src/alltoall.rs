@@ -14,7 +14,7 @@
 //!   `L² · N · (N−1)` to `N · (N−1)` at `L²`-fold size — the same
 //!   aggregation trade the paper's Allgather design makes.
 
-use mha_sched::{BufId, Channel, Loc, NodeId, OpId, ProcGrid, RankId, ScheduleBuilder};
+use mha_sched::{BufId, Channel, Deps, Loc, NodeId, OpId, ProcGrid, RankId, ScheduleBuilder};
 use mha_simnet::ClusterSpec;
 
 use crate::ctx::BuildError;
@@ -74,7 +74,7 @@ pub fn build_direct_alltoall(grid: ProcGrid, msg: usize) -> AlltoallBuilt {
             } else {
                 Channel::AllRails
             };
-            let deps: Vec<OpId> = cursor[me.index()].into_iter().collect();
+            let deps: Deps = cursor[me.index()].into_iter().collect();
             let t = b.transfer(
                 src,
                 me,
@@ -135,7 +135,7 @@ pub fn build_mha_alltoall(
                 let dn = d / l;
                 let d_l = d % l;
                 let off = dn * chunk + (d_l * l + s_l) * msg;
-                let deps: Vec<OpId> = cursor[me.index()].into_iter().collect();
+                let deps: Deps = cursor[me.index()].into_iter().collect();
                 let op = b.copy(
                     me,
                     Loc::new(send[me.index()], d * msg),
@@ -183,7 +183,7 @@ pub fn build_mha_alltoall(
         for (d_l, me) in grid.ranks_of(node).enumerate() {
             // Own node's traffic straight from the out-staging.
             let gate = staged[nd].clone();
-            let deps: Vec<OpId> = cursor[me.index()].iter().copied().chain(gate).collect();
+            let deps: Deps = cursor[me.index()].iter().copied().chain(gate).collect();
             let op = b.copy(
                 me,
                 Loc::new(out[nd], nd * chunk + d_l * l * msg),
@@ -196,7 +196,7 @@ pub fn build_mha_alltoall(
         }
         for (idx, &(src_n, gate)) in arrivals[nd].iter().enumerate() {
             for (d_l, me) in grid.ranks_of(node).enumerate() {
-                let deps: Vec<OpId> = cursor[me.index()].iter().copied().chain([gate]).collect();
+                let deps: Deps = cursor[me.index()].iter().copied().chain([gate]).collect();
                 let op = b.copy(
                     me,
                     Loc::new(inn[nd], src_n as usize * chunk + d_l * l * msg),

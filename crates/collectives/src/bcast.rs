@@ -10,7 +10,7 @@
 //!   one is still in flight — the same phase-overlap principle as
 //!   MHA-inter's chunk-counter pipeline.
 
-use mha_sched::{BufId, Channel, Loc, NodeId, OpId, ProcGrid, RankId, ScheduleBuilder};
+use mha_sched::{BufId, Channel, Deps, Loc, NodeId, OpId, ProcGrid, RankId, ScheduleBuilder};
 use mha_simnet::ClusterSpec;
 
 use crate::chunks::chunk_bounds;
@@ -60,7 +60,7 @@ pub fn build_binomial_bcast(grid: ProcGrid, msg: usize, root: RankId) -> BcastBu
             } else {
                 Channel::AllRails
             };
-            let deps: Vec<OpId> = have[rel as usize].into_iter().collect();
+            let deps: Deps = have[rel as usize].into_iter().collect();
             let t = b.transfer(
                 src,
                 dst,
@@ -150,7 +150,7 @@ pub fn build_mha_bcast(
                 }
                 let (src_n, dst_n) = (rel_node(rel), rel_node(to));
                 let (src, dst) = (leader_of(src_n), leader_of(dst_n));
-                let mut deps: Vec<OpId> = have[rel as usize].into_iter().collect();
+                let mut deps: Deps = have[rel as usize].into_iter().collect();
                 // Pipeline: a leader forwards segment s only after it
                 // forwarded segment s-1 to the same child (per-link FIFO
                 // falls out of rail sharing; program order via leader_net).
@@ -179,7 +179,7 @@ pub fn build_mha_bcast(
             } else {
                 have[((node.0 + n - root_node.0) % n) as usize]
             };
-            let mut deps: Vec<OpId> = cpu_cursor[lead.index()].into_iter().collect();
+            let mut deps: Deps = cpu_cursor[lead.index()].into_iter().collect();
             deps.extend(gate);
             let cin = b.copy(
                 lead,
@@ -194,7 +194,7 @@ pub fn build_mha_bcast(
                 if rank == lead {
                     continue;
                 }
-                let mut deps: Vec<OpId> = cpu_cursor[rank.index()].into_iter().collect();
+                let mut deps: Deps = cpu_cursor[rank.index()].into_iter().collect();
                 deps.push(cin);
                 let cout = b.copy(
                     rank,

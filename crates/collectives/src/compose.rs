@@ -23,7 +23,7 @@
 //! roles compose unchanged. Emission depends only on the tree *shape*;
 //! link speeds feed models and cache keys.
 
-use mha_sched::{BufId, Channel, GroupId, Loc, OpId, OpKind, RailSet, RankId, Topology};
+use mha_sched::{BufId, Channel, Deps, GroupId, Loc, OpId, OpKind, RailSet, RankId, Topology};
 use mha_simnet::ClusterSpec;
 
 use crate::chunks::chunk_bounds;
@@ -500,7 +500,7 @@ pub(crate) fn gather_into(
                     dst,
                     msg,
                     Channel::AllRails,
-                    &deps,
+                    deps.as_slice(),
                     step_base + i,
                 );
                 ops.push(t);
@@ -564,7 +564,7 @@ pub(crate) fn leader_chunk_transfer(
             .b
             .transfer(lsrc, ldst, src, dst, len, Channel::Rail(h), deps, step);
     }
-    let mut parts: Vec<OpId> = Vec::with_capacity(k);
+    let mut parts = Deps::new();
     for (i, &h) in rails.rails().iter().enumerate() {
         let (lo, hi) = chunk_bounds(len, k, i);
         if hi == lo {
@@ -674,7 +674,7 @@ fn emit_hier(
                         Channel::Cma // pays the level's interconnect once
                     };
                     let mut deps = region_done[(first_child + other) as usize].clone();
-                    deps.extend(ctx.cur.deps_of(me));
+                    deps.extend(ctx.cur.last(me));
                     let import = ctx.b.transfer(
                         peer,
                         me,
@@ -775,23 +775,25 @@ fn emit_hier(
             // The forwarded unit is a node block; pieces pipeline it.
             let pieces = exchange_pieces(gs1, chunk);
             let np = pieces.len();
-            // avail[nd][p]: ops guaranteeing piece p of the block node nd
-            // sends this step.
-            let mut avail: Vec<Vec<Vec<OpId>>> =
-                region_done.into_iter().map(|d| vec![d; np]).collect();
-            let mut prev_recv: Vec<Vec<Option<OpId>>> = vec![vec![None; np]; n as usize];
+            // recv[nd * np + p]: the transfer that delivered piece p to node
+            // nd last step — what nd forwards this step, and the program-
+            // order predecessor of its next receive of that piece. Before
+            // the first step every piece waits for the node's region.
+            let mut recv: Vec<Option<OpId>> = vec![None; n as usize * np];
+            let mut next = recv.clone();
             for s in 0..n - 1 {
-                let mut next_avail = Vec::with_capacity(n as usize);
-                let mut next_recv = Vec::with_capacity(n as usize);
                 for nd in 0..n {
                     let sender = (nd + n - 1) % n;
                     let block_node = (sender + n - s) % n;
                     let (lsrc, ldst) = (leader(sender), leader(nd));
-                    let mut nd_avail = Vec::with_capacity(np);
-                    let mut nd_recv = Vec::with_capacity(np);
                     for (p, &(pstart, plen)) in pieces.iter().enumerate() {
-                        let mut deps = avail[sender as usize][p].clone();
-                        deps.extend(prev_recv[nd as usize][p]);
+                        let (from, own) = (sender as usize * np + p, nd as usize * np + p);
+                        let mut deps = Deps::new();
+                        match recv[from] {
+                            Some(t) => deps.push(t),
+                            None => deps.extend(region_done[sender as usize].iter().copied()),
+                        }
+                        deps.extend(recv[own]);
                         let start = block_node * gs1 + pstart;
                         let t = leader_chunk_transfer(
                             ctx,
@@ -811,18 +813,14 @@ fn emit_hier(
                             nblocks: plen,
                             op: t,
                         });
-                        nd_avail.push(vec![t]);
-                        nd_recv.push(Some(t));
+                        next[own] = Some(t);
                     }
-                    next_avail.push(nd_avail);
-                    next_recv.push(nd_recv);
                 }
-                avail = next_avail;
-                prev_recv = next_recv;
+                std::mem::swap(&mut recv, &mut next);
             }
-            final_recv = prev_recv
-                .into_iter()
-                .map(|v| v.into_iter().flatten().collect())
+            final_recv = recv
+                .chunks(np)
+                .map(|v| v.iter().flatten().copied().collect())
                 .collect();
         }
         InterAlgo::RecursiveDoubling => {
@@ -890,19 +888,20 @@ fn emit_hier(
             };
             let off = arr.start_block as usize * msg;
             let len = arr.nblocks as usize * msg;
-            let mut publish: Vec<OpId> = Vec::with_capacity(nseg as usize);
+            // The first segment's publish, which every further segment
+            // relays.
+            let mut publish: Option<OpId> = None;
             for c in 0..nseg {
                 let actor = RankId(node.0 * gs1 + c * seg_size);
-                let (src, dep): (Loc, Vec<OpId>) = if c == 0 {
-                    (
+                let (src, dep) = match publish {
+                    None => (
                         Loc::new(ctx.recv[actor.index()], off),
                         ctx.cur.deps_with(actor, gate),
-                    )
-                } else {
-                    (
+                    ),
+                    Some(first) => (
                         Loc::new(shm[nd][0], off),
-                        ctx.cur.deps_with(actor, &[publish[0]]),
-                    )
+                        ctx.cur.deps_with(actor, &[first]),
+                    ),
                 };
                 let cin = ctx.b.copy(
                     actor,
@@ -913,7 +912,7 @@ fn emit_hier(
                     2000 + idx as u32,
                 );
                 ctx.cur.advance(actor, cin);
-                publish.push(cin);
+                publish.get_or_insert(cin);
                 // The relayed chunk also completes the relaying leader's
                 // own receive buffer.
                 if c > 0 {
@@ -949,13 +948,9 @@ fn emit_hier(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flat::testutil::assert_allgather_correct;
+    use crate::flat::testutil::{assert_allgather_correct, op_stream};
     use crate::mha::MhaInterConfig;
     use mha_sched::ProcGrid;
-
-    fn ops_of(b: &Built) -> String {
-        format!("{:?}", b.sched.ops())
-    }
 
     #[test]
     fn composed_two_level_reproduces_mha_inter_bit_for_bit() {
@@ -975,8 +970,8 @@ mod tests {
                     let composed =
                         build_composed(&topo, msg, &ComposePlan::mha_inter(cfg), &spec).unwrap();
                     assert_eq!(
-                        ops_of(&legacy),
-                        ops_of(&composed),
+                        op_stream(&legacy),
+                        op_stream(&composed),
                         "{inter:?}/overlap={overlap}/{nodes}x{ppn}/{msg}"
                     );
                     assert_eq!(
@@ -1017,7 +1012,7 @@ mod tests {
         ];
         for (legacy, plan) in pairs {
             let composed = build_composed(&topo, msg, &plan, &spec).unwrap();
-            assert_eq!(ops_of(&legacy), ops_of(&composed), "{}", plan.name());
+            assert_eq!(op_stream(&legacy), op_stream(&composed), "{}", plan.name());
         }
     }
 
@@ -1046,7 +1041,7 @@ mod tests {
         let plan = ComposePlan::hierarchical(3, InterAlgo::Ring, true, false, Offload::None);
         let base = build_composed(&topo, 64 * 1024, &plan, &spec).unwrap();
         let deg = build_composed_degraded(&topo, 64 * 1024, &plan, &spec, &[]).unwrap();
-        assert_eq!(ops_of(&base), ops_of(&deg));
+        assert_eq!(op_stream(&base), op_stream(&deg));
         // And an actually degraded 3-level build stays correct.
         let deg = build_composed_degraded(&topo, 64 * 1024, &plan, &spec, &[0]).unwrap();
         assert_allgather_correct(&deg);

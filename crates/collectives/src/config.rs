@@ -497,16 +497,12 @@ fn build_mha_inter_cfg(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flat::testutil::assert_allgather_correct;
+    use crate::flat::testutil::{assert_allgather_correct, op_stream};
     use crate::AllgatherAlgo;
     use mha_simnet::Simulator;
 
     fn thor() -> ClusterSpec {
         ClusterSpec::thor()
-    }
-
-    fn ops_of(b: &Built) -> String {
-        format!("{:?}", b.sched.ops())
     }
 
     fn sample_configs() -> Vec<AlgoConfig> {
@@ -565,7 +561,7 @@ mod tests {
         ];
         for (algo, built) in legacy {
             let via_cfg = build(&AlgoConfig::from(algo), grid, msg, &spec).unwrap();
-            assert_eq!(ops_of(&built), ops_of(&via_cfg), "{}", algo.name());
+            assert_eq!(op_stream(&built), op_stream(&via_cfg), "{}", algo.name());
             assert_eq!(
                 built.sched.fingerprint().0,
                 via_cfg.sched.fingerprint().0,
@@ -584,7 +580,7 @@ mod tests {
         )
         .unwrap();
         let via_cfg = build(&AlgoConfig::mha_inter(cfg), grid, msg, &spec).unwrap();
-        assert_eq!(ops_of(&composed), ops_of(&via_cfg));
+        assert_eq!(op_stream(&composed), op_stream(&via_cfg));
         // Legacy name format: no chunk/rails suffixes at defaults.
         let name = via_cfg.sched.name();
         assert!(name.starts_with("mha-inter-ring(d="), "{name}");
@@ -595,7 +591,12 @@ mod tests {
                 let direct = lib.build_allgather(grid, msg, &spec).unwrap();
                 let via_cfg =
                     build(&AlgoConfig::flat(Family::Library(lib)), grid, msg, &spec).unwrap();
-                assert_eq!(ops_of(&direct), ops_of(&via_cfg), "{}/{msg}", lib.name());
+                assert_eq!(
+                    op_stream(&direct),
+                    op_stream(&via_cfg),
+                    "{}/{msg}",
+                    lib.name()
+                );
             }
         }
         // MHA-intra on a single node.
@@ -609,7 +610,7 @@ mod tests {
             &spec,
         )
         .unwrap();
-        assert_eq!(ops_of(&direct), ops_of(&via_cfg));
+        assert_eq!(op_stream(&direct), op_stream(&via_cfg));
     }
 
     #[test]
@@ -640,10 +641,7 @@ mod tests {
             &spec,
         )
         .unwrap();
-        assert_eq!(
-            format!("{:?}", base.sched.ops()),
-            format!("{:?}", wide.sched.ops())
-        );
+        assert_eq!(op_stream(&base), op_stream(&wide));
     }
 
     #[test]
@@ -706,7 +704,7 @@ mod tests {
                 ..AlgoConfig::default()
             };
             let via_cfg = build(&cfg, grid, msg, &spec).unwrap();
-            assert_eq!(ops_of(&legacy), ops_of(&via_cfg), "msg={msg}");
+            assert_eq!(op_stream(&legacy), op_stream(&via_cfg), "msg={msg}");
             assert_eq!(legacy.sched.name(), via_cfg.sched.name());
         }
     }

@@ -36,7 +36,7 @@ pub(crate) struct Ctx {
     /// buffer, produced by earlier ops — readiness is [`Ctx::ready_deps`].
     contrib_in_recv: bool,
     /// Per-rank op that produced the contribution (contrib-in-recv mode).
-    ready: Vec<Vec<OpId>>,
+    ready: Vec<Option<OpId>>,
 }
 
 impl Ctx {
@@ -62,7 +62,7 @@ impl Ctx {
             recv,
             msg,
             contrib_in_recv: false,
-            ready: vec![Vec::new(); nranks as usize],
+            ready: vec![None; nranks as usize],
         }
     }
 
@@ -90,21 +90,21 @@ impl Ctx {
             recv,
             msg: chunk,
             contrib_in_recv: true,
-            ready: vec![Vec::new(); nranks as usize],
+            ready: vec![None; nranks as usize],
         }
     }
 
     /// Records that `op` completed `rank`'s contribution (contrib-in-recv
     /// mode only).
     pub fn set_ready(&mut self, rank: RankId, op: OpId) {
-        self.ready[rank.index()] = vec![op];
+        self.ready[rank.index()] = Some(op);
     }
 
     /// Dependencies a transfer must honour before reading `rank`'s
-    /// contribution "from the origin". Empty for plain Allgather (send
+    /// contribution "from the origin". `None` for plain Allgather (send
     /// buffers are ready at t = 0).
-    pub fn ready_deps(&self, rank: RankId) -> Vec<OpId> {
-        self.ready[rank.index()].clone()
+    pub fn ready_deps(&self, rank: RankId) -> Option<OpId> {
+        self.ready[rank.index()]
     }
 
     /// The grid under construction.

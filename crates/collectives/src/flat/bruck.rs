@@ -59,7 +59,7 @@ pub(crate) fn emit_bruck(ctx: &mut Ctx) {
             let ch = ctx.channel_between(src_r, dst_r);
             let deps = {
                 let mut d = ctx.cur.deps_of(dst_r);
-                d.extend(ctx.cur.deps_of(src_r));
+                d.extend(ctx.cur.last(src_r));
                 d
             };
             let t = ctx.b.transfer(

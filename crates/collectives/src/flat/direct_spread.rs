@@ -77,8 +77,8 @@ mod tests {
         let built = build_direct_spread(ProcGrid::new(1, 5), 8);
         for op in built.sched.ops() {
             if let mha_sched::OpKind::Transfer { dst_rank, .. } = &op.kind {
-                for &d in &op.deps {
-                    let dep = built.sched.op(d);
+                for &d in built.sched.preds(op.id.0) {
+                    let dep = built.sched.op(mha_sched::OpId(d));
                     let actor = match &dep.kind {
                         mha_sched::OpKind::Transfer { dst_rank, .. } => *dst_rank,
                         mha_sched::OpKind::Copy { actor, .. } => *actor,

@@ -47,4 +47,22 @@ pub(crate) mod testutil {
         )
         .unwrap();
     }
+
+    /// The whole op stream — kinds, steps, dependency edges and labels —
+    /// as text, for byte-identity assertions between two builds (the
+    /// schedule name is left out).
+    pub fn op_stream(built: &Built) -> String {
+        use std::fmt::Write as _;
+        let s = &built.sched;
+        let mut out = String::new();
+        for op in s.ops() {
+            let _ = writeln!(
+                out,
+                "{op:?} deps={:?} label={}",
+                s.preds(op.id.0),
+                s.label(op.id)
+            );
+        }
+        out
+    }
 }

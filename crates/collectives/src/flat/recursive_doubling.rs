@@ -52,7 +52,7 @@ pub(crate) fn emit_recursive_doubling(ctx: &mut Ctx) {
             // The sendrecv blocks both sides: depend on both cursors.
             let deps = {
                 let mut d = ctx.cur.deps_of(dst_r);
-                d.extend(ctx.cur.deps_of(src_r));
+                d.extend(ctx.cur.last(src_r));
                 d
             };
             let t = ctx.b.transfer(

@@ -32,8 +32,8 @@ pub(crate) fn emit_ring(ctx: &mut Ctx) {
 
     // arrival[rank] = op that delivered the most recent block to `rank`.
     let mut arrival: Vec<mha_sched::OpId> = self_copies;
+    let mut next_arrival = arrival.clone();
     for s in 0..r - 1 {
-        let mut next_arrival = arrival.clone();
         for dst in 0..r {
             let src = (dst + r - 1) % r;
             // Block travelling to `dst` this step originated at src − s.
@@ -42,9 +42,8 @@ pub(crate) fn emit_ring(ctx: &mut Ctx) {
             let ch = ctx.channel_between(src_r, dst_r);
             // Data availability at the sender plus both ranks' step loop
             // (MPI sendrecv blocks sender and receiver alike).
-            let mut deps = vec![arrival[src as usize]];
-            deps.extend(ctx.cur.deps_of(dst_r));
-            deps.extend(ctx.cur.deps_of(src_r));
+            let mut deps = ctx.cur.deps_with(dst_r, &[arrival[src as usize]]);
+            deps.extend(ctx.cur.last(src_r));
             let t = ctx.b.transfer(
                 src_r,
                 dst_r,
@@ -61,7 +60,7 @@ pub(crate) fn emit_ring(ctx: &mut Ctx) {
         for dst in 0..r {
             ctx.cur.advance(RankId(dst), next_arrival[dst as usize]);
         }
-        arrival = next_arrival;
+        std::mem::swap(&mut arrival, &mut next_arrival);
     }
 }
 

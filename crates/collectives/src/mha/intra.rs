@@ -88,7 +88,12 @@ mod tests {
                 ..
             } = op.kind
             {
-                assert!(op.deps.is_empty(), "HCA transfer {:?} has deps", op.id);
+                assert_eq!(
+                    built.sched.indegree(op.id.0),
+                    0,
+                    "HCA transfer {} has deps",
+                    op.id
+                );
             }
         }
     }

@@ -98,9 +98,8 @@ pub(crate) fn emit_multi_leader(ctx: &mut Ctx, groups: u32) {
                 let (lsrc, ldst) = (leader(sender), leader(gg));
                 let ch = ctx.channel_between(lsrc, ldst);
                 let off = group_first_block(group_block) as usize * msg;
-                let mut deps = vec![avail[sender as usize]];
-                deps.extend(ctx.cur.deps_of(ldst));
-                deps.extend(ctx.cur.deps_of(lsrc));
+                let mut deps = ctx.cur.deps_with(ldst, &[avail[sender as usize]]);
+                deps.extend(ctx.cur.last(lsrc));
                 let t = ctx.b.transfer(
                     lsrc,
                     ldst,

@@ -41,8 +41,9 @@ pub struct OpSpec {
     pub deps: Vec<OpId>,
     /// Algorithm step (kept for trace fidelity).
     pub step: u32,
-    /// Human-readable label.
-    pub label: String,
+    /// Explicit marker name; `None` labels the op by its kind, so a
+    /// mutated op's label follows the mutation.
+    pub name: Option<&'static str>,
 }
 
 impl SchedSpec {
@@ -56,10 +57,10 @@ impl SchedSpec {
                 .ops()
                 .iter()
                 .map(|op| OpSpec {
-                    kind: op.kind.clone(),
-                    deps: op.deps.clone(),
+                    kind: op.kind,
+                    deps: sch.preds(op.id.0).iter().map(|&d| OpId(d)).collect(),
                     step: op.step,
-                    label: op.label.clone(),
+                    name: sch.label(op.id).name(),
                 })
                 .collect(),
         }
@@ -81,7 +82,7 @@ impl SchedSpec {
             assert_eq!(id.index(), i, "buffer ids must survive the round trip");
         }
         for op in &self.ops {
-            b.push(op.kind.clone(), &op.deps, op.step, op.label.clone());
+            b.push(op.kind, &op.deps, op.step, op.name);
         }
         b.finish()
     }

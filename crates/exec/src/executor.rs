@@ -150,7 +150,7 @@ fn execute_op(kind: &OpKind, store: &BufferStore) {
 pub fn run_single(sch: &FrozenSchedule, store: &BufferStore) -> Result<(), ExecError> {
     mha_sched::validate(sch, None)?;
     let ops = sch.ops();
-    for &i in sch.topo_order() {
+    for i in sch.topo_order() {
         execute_op(&ops[i as usize].kind, store);
     }
     Ok(())
@@ -167,7 +167,7 @@ pub fn run_single_probed(
     probe.begin_run(sch, "exec-single");
     let t0 = Instant::now();
     let ops = sch.ops();
-    for &i in sch.topo_order() {
+    for i in sch.topo_order() {
         let t = t0.elapsed().as_secs_f64();
         probe.op_ready(i, t);
         probe.op_start(i, t);
@@ -238,7 +238,7 @@ fn run_single_limited(
     }
     let mut retired = entries.len();
     let ops = sch.ops();
-    for &i in sch.topo_order() {
+    for i in sch.topo_order() {
         if done[i as usize] {
             continue;
         }

@@ -4,6 +4,10 @@
 //! downstream simple: **dependencies always point backwards** (an op may only
 //! depend on ops created before it), so creation order is a topological order
 //! and the DAG is acyclic by construction.
+//!
+//! It writes the execution form directly: each op's dependencies are
+//! appended, sorted and deduplicated, to the schedule's one CSR arena, and
+//! no label text is stored unless an op is pushed with an explicit name.
 
 use crate::buffer::{BufKind, BufferDecl, Loc};
 use crate::grid::ProcGrid;
@@ -13,22 +17,14 @@ use crate::schedule::Schedule;
 
 /// Builds a [`Schedule`] incrementally.
 pub struct ScheduleBuilder {
-    grid: ProcGrid,
-    buffers: Vec<BufferDecl>,
-    ops: Vec<Op>,
-    name: String,
-    release: Vec<f64>,
+    sched: Schedule,
 }
 
 impl ScheduleBuilder {
     /// Starts a schedule for `grid`, labelled `name`.
     pub fn new(grid: ProcGrid, name: impl Into<String>) -> Self {
         ScheduleBuilder {
-            grid,
-            buffers: Vec::new(),
-            ops: Vec::new(),
-            name: name.into(),
-            release: Vec::new(),
+            sched: Schedule::empty(grid, name.into()),
         }
     }
 
@@ -43,42 +39,44 @@ impl ScheduleBuilder {
     /// Panics if `op` was not created yet or `secs` is negative or
     /// non-finite.
     pub fn set_release(&mut self, op: OpId, secs: f64) {
-        assert!(op.index() < self.ops.len(), "release for unknown op {op}");
+        assert!(op.index() < self.len(), "release for unknown op {op}");
         assert!(
             secs.is_finite() && secs >= 0.0,
             "release delay must be finite and non-negative, got {secs}"
         );
-        if secs == 0.0 && self.release.is_empty() {
+        let n = self.len();
+        let release = &mut self.sched.release;
+        if secs == 0.0 && release.is_empty() {
             return; // stay on the release-free fast path
         }
-        if self.release.is_empty() {
-            self.release.resize(self.ops.len(), 0.0);
+        if release.is_empty() {
+            release.resize(n, 0.0);
         }
-        self.release[op.index()] = secs;
+        release[op.index()] = secs;
     }
 
     /// The grid being scheduled against.
     #[inline]
     pub fn grid(&self) -> &ProcGrid {
-        &self.grid
+        &self.sched.grid
     }
 
     /// Number of ops created so far.
     #[inline]
     pub fn len(&self) -> usize {
-        self.ops.len()
+        self.sched.ops.len()
     }
 
     /// Whether no ops were created yet.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
+        self.sched.ops.is_empty()
     }
 
     /// Declares a buffer private to `rank`.
     pub fn private_buf(&mut self, rank: RankId, len: usize, label: impl Into<String>) -> BufId {
         assert!(
-            rank.0 < self.grid.nranks(),
+            rank.0 < self.grid().nranks(),
             "buffer owner {rank} outside grid"
         );
         self.decl(BufKind::Private(rank), len, None, label)
@@ -88,7 +86,7 @@ impl ScheduleBuilder {
     /// (NUMA-agnostic) placement.
     pub fn shared_buf(&mut self, node: NodeId, len: usize, label: impl Into<String>) -> BufId {
         assert!(
-            node.0 < self.grid.nodes(),
+            node.0 < self.grid().nodes(),
             "buffer node {node} outside grid"
         );
         self.decl(BufKind::NodeShared(node), len, None, label)
@@ -106,7 +104,7 @@ impl ScheduleBuilder {
         label: impl Into<String>,
     ) -> BufId {
         assert!(
-            node.0 < self.grid.nodes(),
+            node.0 < self.grid().nodes(),
             "buffer node {node} outside grid"
         );
         self.decl(BufKind::NodeShared(node), len, Some(socket), label)
@@ -119,8 +117,9 @@ impl ScheduleBuilder {
         home_socket: Option<u32>,
         label: impl Into<String>,
     ) -> BufId {
-        let id = BufId::from(self.buffers.len());
-        self.buffers.push(BufferDecl {
+        let buffers = &mut self.sched.buffers;
+        let id = BufId::from(buffers.len());
+        buffers.push(BufferDecl {
             id,
             kind,
             len,
@@ -130,7 +129,9 @@ impl ScheduleBuilder {
         id
     }
 
-    /// Adds an op with explicit dependencies, step tag and label.
+    /// Adds an op with explicit dependencies and step tag. `name` is
+    /// either `None` — the op's label is then derived from its kind — or
+    /// an explicit marker name such as `"sync"`.
     ///
     /// # Panics
     ///
@@ -141,25 +142,34 @@ impl ScheduleBuilder {
         kind: OpKind,
         deps: &[OpId],
         step: u32,
-        label: impl Into<String>,
+        name: impl Into<Option<&'static str>>,
     ) -> OpId {
-        let id = OpId::from(self.ops.len());
+        let id = OpId::from(self.len());
+        let s = &mut self.sched;
+        let start = s.pred.len();
         for &d in deps {
             assert!(
                 d < id,
                 "op {id} depends on {d}, which does not exist yet (forward deps are forbidden)"
             );
+            s.pred.push(d.0);
         }
-        let mut dep_vec = deps.to_vec();
-        dep_vec.sort_unstable();
-        dep_vec.dedup();
-        self.ops.push(Op {
-            id,
-            kind,
-            deps: dep_vec,
-            step,
-            label: label.into(),
-        });
+        // Sort and deduplicate this op's tail of the arena in place.
+        s.pred[start..].sort_unstable();
+        let mut end = start;
+        for i in start..s.pred.len() {
+            if end == start || s.pred[i] != s.pred[end - 1] {
+                s.pred[end] = s.pred[i];
+                end += 1;
+            }
+        }
+        s.pred.truncate(end);
+        s.pred_off
+            .push(u32::try_from(end).expect("edge count overflows u32"));
+        if let Some(name) = name.into() {
+            s.names.push((id.0, name));
+        }
+        s.ops.push(Op { id, kind, step });
         id
     }
 
@@ -176,7 +186,6 @@ impl ScheduleBuilder {
         deps: &[OpId],
         step: u32,
     ) -> OpId {
-        let label = format!("{src_rank}->{dst_rank}");
         self.push(
             OpKind::Transfer {
                 src_rank,
@@ -188,7 +197,7 @@ impl ScheduleBuilder {
             },
             deps,
             step,
-            label,
+            None,
         )
     }
 
@@ -211,7 +220,7 @@ impl ScheduleBuilder {
             },
             deps,
             step,
-            format!("copy@{actor}"),
+            None,
         )
     }
 
@@ -244,27 +253,94 @@ impl ScheduleBuilder {
             },
             deps,
             step,
-            format!("red@{actor}"),
+            None,
         )
     }
 
     /// Convenience: a pure-compute op.
     pub fn compute(&mut self, actor: RankId, flops: u64, deps: &[OpId], step: u32) -> OpId {
-        self.push(
-            OpKind::Compute { actor, flops },
-            deps,
-            step,
-            format!("comp@{actor}"),
-        )
+        self.push(OpKind::Compute { actor, flops }, deps, step, None)
     }
 
     /// Finalizes the schedule.
     pub fn finish(mut self) -> Schedule {
         // `set_release` may have run before trailing ops were pushed.
-        if !self.release.is_empty() {
-            self.release.resize(self.ops.len(), 0.0);
+        if !self.sched.release.is_empty() {
+            let n = self.len();
+            self.sched.release.resize(n, 0.0);
         }
-        Schedule::from_parts(self.grid, self.buffers, self.ops, self.name, self.release)
+        self.sched
+    }
+}
+
+/// How many dependencies a [`Deps`] holds without touching the heap.
+const INLINE_DEPS: usize = 4;
+
+/// A short dependency list held on the stack: up to four ids inline,
+/// spilling to the heap only for wide joins. Derefs to `[OpId]`, so
+/// `&deps` passes straight to [`ScheduleBuilder::push`] and friends.
+#[derive(Debug, Clone)]
+pub struct Deps {
+    len: usize,
+    inline: [OpId; INLINE_DEPS],
+    spill: Vec<OpId>,
+}
+
+impl Deps {
+    /// An empty list.
+    pub fn new() -> Self {
+        Deps {
+            len: 0,
+            inline: [OpId(0); INLINE_DEPS],
+            spill: Vec::new(),
+        }
+    }
+
+    /// Appends `id`.
+    pub fn push(&mut self, id: OpId) {
+        if self.len < INLINE_DEPS {
+            self.inline[self.len] = id;
+        } else {
+            if self.len == INLINE_DEPS {
+                self.spill.extend_from_slice(&self.inline);
+            }
+            self.spill.push(id);
+        }
+        self.len += 1;
+    }
+}
+
+impl Default for Deps {
+    fn default() -> Self {
+        Deps::new()
+    }
+}
+
+impl std::ops::Deref for Deps {
+    type Target = [OpId];
+
+    fn deref(&self) -> &[OpId] {
+        if self.len <= INLINE_DEPS {
+            &self.inline[..self.len]
+        } else {
+            &self.spill
+        }
+    }
+}
+
+impl FromIterator<OpId> for Deps {
+    fn from_iter<I: IntoIterator<Item = OpId>>(iter: I) -> Self {
+        let mut d = Deps::new();
+        d.extend(iter);
+        d
+    }
+}
+
+impl Extend<OpId> for Deps {
+    fn extend<I: IntoIterator<Item = OpId>>(&mut self, iter: I) {
+        for id in iter {
+            self.push(id);
+        }
     }
 }
 
@@ -287,15 +363,17 @@ impl RankCursors {
     }
 
     /// The rank's previous op, if any, as a dependency list.
-    pub fn deps_of(&self, rank: RankId) -> Vec<OpId> {
-        self.last[rank.index()].into_iter().collect()
+    pub fn deps_of(&self, rank: RankId) -> Deps {
+        let mut d = Deps::new();
+        d.extend(self.last[rank.index()]);
+        d
     }
 
     /// Dependencies = the rank's previous op plus `extra`.
-    pub fn deps_with(&self, rank: RankId, extra: &[OpId]) -> Vec<OpId> {
-        let mut v = self.deps_of(rank);
-        v.extend_from_slice(extra);
-        v
+    pub fn deps_with(&self, rank: RankId, extra: &[OpId]) -> Deps {
+        let mut d = self.deps_of(rank);
+        d.extend(extra.iter().copied());
+        d
     }
 
     /// Records `op` as the rank's latest.
@@ -319,8 +397,11 @@ mod tests {
         let a = b.compute(RankId(0), 1, &[], 0);
         let c = b.compute(RankId(0), 1, &[], 0);
         let d = b.compute(RankId(1), 1, &[c, a, c], 1);
+        let e = b.compute(RankId(1), 1, &[a], 1);
         let sch = b.finish();
-        assert_eq!(sch.op(d).deps, vec![a, c]);
+        assert_eq!(sch.preds(d.0), &[a.0, c.0]);
+        assert_eq!(sch.preds(e.0), &[a.0]);
+        assert_eq!(sch.n_edges(), 3);
     }
 
     #[test]
@@ -362,12 +443,22 @@ mod tests {
         assert!(cur.deps_of(RankId(0)).is_empty());
         let a = b.compute(RankId(0), 1, &cur.deps_of(RankId(0)), 0);
         cur.advance(RankId(0), a);
-        assert_eq!(cur.deps_of(RankId(0)), vec![a]);
+        assert_eq!(&*cur.deps_of(RankId(0)), &[a]);
         assert_eq!(cur.last(RankId(1)), None);
         let mixed = cur.deps_with(RankId(0), &[a]);
-        assert_eq!(mixed, vec![a, a]); // push() dedups later
+        assert_eq!(&*mixed, &[a, a]); // push() dedups later
         let c = b.compute(RankId(0), 1, &mixed, 1);
-        assert_eq!(b.finish().op(c).deps, vec![a]);
+        assert_eq!(b.finish().preds(c.0), &[a.0]);
+    }
+
+    #[test]
+    fn deps_spill_past_the_inline_capacity() {
+        let ids: Vec<OpId> = (0..7).map(OpId).collect();
+        let mut d = Deps::new();
+        for (k, &id) in ids.iter().enumerate() {
+            d.push(id);
+            assert_eq!(&*d, &ids[..=k]);
+        }
     }
 
     #[test]

@@ -198,9 +198,10 @@ impl FrozenSchedule {
                 }
             }
             fp.push_u32(op.step);
-            fp.push_usize(op.deps.len());
-            for d in &op.deps {
-                fp.push_u32(d.0);
+            let deps = self.preds(op.id.0);
+            fp.push_usize(deps.len());
+            for &d in deps {
+                fp.push_u32(d);
             }
         }
         fp.finish()
@@ -213,7 +214,7 @@ mod tests {
     use crate::buffer::Loc;
     use crate::builder::ScheduleBuilder;
     use crate::grid::ProcGrid;
-    use crate::ids::RankId;
+    use crate::ids::{OpId, RankId};
 
     fn sched(len: usize, channel: Channel) -> FrozenSchedule {
         let mut b = ScheduleBuilder::new(ProcGrid::new(2, 1), "s");
@@ -259,6 +260,20 @@ mod tests {
             a.finish().freeze().fingerprint(),
             b.finish().freeze().fingerprint()
         );
+    }
+
+    #[test]
+    fn fingerprint_covers_dependency_edges() {
+        let build = |deps: &[OpId]| {
+            let mut b = ScheduleBuilder::new(ProcGrid::single_node(1), "e");
+            b.compute(RankId(0), 1, &[], 0);
+            b.compute(RankId(0), 1, &[], 0);
+            b.compute(RankId(0), 1, deps, 1);
+            b.finish().freeze().fingerprint()
+        };
+        assert_eq!(build(&[OpId(0)]), build(&[OpId(0), OpId(0)]));
+        assert_ne!(build(&[OpId(0)]), build(&[OpId(1)]));
+        assert_ne!(build(&[OpId(0)]), build(&[OpId(0), OpId(1)]));
     }
 
     #[test]

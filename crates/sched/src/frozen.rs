@@ -1,26 +1,25 @@
 //! The frozen schedule IR: an immutable, cache-friendly compilation of a
 //! [`Schedule`] that both execution backends consume.
 //!
-//! A [`Schedule`] is convenient to *build* — ops carry their dependency
-//! lists inline — but awkward to *execute*: every interpreter used to
-//! re-derive successor adjacency (`Vec<Vec<OpId>>`) and indegree counts on
-//! entry, walking heap-scattered edge lists on the hot path.
-//! [`FrozenSchedule`] does this once, at build time, into flat CSR
-//! (compressed sparse row) arrays:
+//! The builder already writes a [`Schedule`] in execution form: a dense op
+//! table and one CSR (compressed sparse row) predecessor arena
+//! ([`Schedule::preds`]). Freezing only finishes the indices every
+//! interpreter needs on the hot path:
 //!
 //! * `succ_off`/`succ`: for op `i`, the ops depending on it are
-//!   `succ[succ_off[i]..succ_off[i+1]]`, in the same order the ad-hoc
-//!   adjacency used to produce them (so event ordering — and therefore
-//!   simulated timing — is bit-identical to the pre-CSR engine);
-//! * `pred_off`/`pred`: the transposed view (an op's dependencies);
-//! * `indegree`, `roots`, `topo`: the Kahn bootstrap state every readiness
-//!   driver needs (see [`crate::runtime`]);
+//!   `succ[succ_off[i]..succ_off[i+1]]`, in creation order (so event
+//!   ordering — and therefore simulated timing — is bit-identical to the
+//!   pre-CSR engine);
+//! * `roots`: the Kahn bootstrap set every readiness driver needs (see
+//!   [`crate::runtime`]); indegrees are the predecessor-offset differences
+//!   and the topological order is creation order, so neither is stored;
 //! * `rows`: a dense per-op summary ([`OpRow`]) — kind class, bytes, step,
 //!   lane rank — so probes and trace sinks classify ops without matching on
 //!   [`OpKind`] themselves.
 //!
 //! `FrozenSchedule` derefs to [`Schedule`], so everything that inspects a
-//! schedule (`validate`, `stats`, buffer lookups) keeps working unchanged.
+//! schedule (`validate`, `stats`, `preds`, buffer lookups) keeps working
+//! unchanged.
 
 use std::ops::Deref;
 
@@ -80,7 +79,7 @@ pub struct OpRow {
 }
 
 /// An immutable, execution-ready schedule: the original [`Schedule`] plus
-/// CSR adjacency, indegrees, a topological order and the dense op table.
+/// the successor index, the roots and the dense op table.
 ///
 /// Produced by [`Schedule::freeze`]; consumed by `mha-simnet`'s engine and
 /// `mha-exec`'s executors via the readiness drivers in [`crate::runtime`].
@@ -89,11 +88,7 @@ pub struct FrozenSchedule {
     sched: Schedule,
     succ_off: Vec<u32>,
     succ: Vec<u32>,
-    pred_off: Vec<u32>,
-    pred: Vec<u32>,
-    indegree: Vec<u32>,
     roots: Vec<u32>,
-    topo: Vec<u32>,
     rows: Vec<OpRow>,
     /// Rail count this schedule last validated cleanly against (see
     /// [`FrozenSchedule::validate_for`]).
@@ -128,60 +123,49 @@ fn row_of(kind: &OpKind, step: u32) -> OpRow {
 impl Schedule {
     /// Compiles the schedule into its frozen execution form. O(ops + edges).
     pub fn freeze(self) -> FrozenSchedule {
-        let n = self.ops().len();
+        let n = self.ops.len();
 
-        let mut indegree = vec![0u32; n];
-        let mut succ_cnt = vec![0u32; n];
-        let mut pred_off = vec![0u32; n + 1];
-        let mut rows = Vec::with_capacity(n);
-        let mut edges = 0usize;
-        for (i, op) in self.ops().iter().enumerate() {
-            debug_assert_eq!(op.id.index(), i, "ops must be stored in id order");
-            indegree[i] = op.deps.len() as u32;
-            pred_off[i + 1] = pred_off[i] + op.deps.len() as u32;
-            edges += op.deps.len();
-            for d in &op.deps {
-                debug_assert!(d.index() < i, "dependencies must point backwards");
-                succ_cnt[d.index()] += 1;
-            }
-            rows.push(row_of(&op.kind, op.step));
-        }
-
+        // Count successors into `succ_off[p + 1]`, prefix-sum to starts,
+        // then scatter the edges in creation order using `succ_off[p]` as
+        // p's cursor, so each op's successors stay in id order — the order
+        // the simulator's event sequence (and every golden latency)
+        // depends on. Afterwards every cursor sits at the next op's start,
+        // so shifting by one restores the offsets.
         let mut succ_off = vec![0u32; n + 1];
-        for i in 0..n {
-            succ_off[i + 1] = succ_off[i] + succ_cnt[i];
+        for &p in &self.pred {
+            succ_off[p as usize + 1] += 1;
         }
-        // Fill successor edges in global creation order, which reproduces
-        // exactly the per-node ordering of the former `Vec<Vec<OpId>>`
-        // adjacency (each dep pushes the depending op in id order).
-        let mut cursor: Vec<u32> = succ_off[..n].to_vec();
-        let mut succ = vec![0u32; edges];
-        let mut pred = Vec::with_capacity(edges);
-        for op in self.ops() {
-            for d in &op.deps {
-                let di = d.index();
-                succ[cursor[di] as usize] = op.id.0;
-                cursor[di] += 1;
-                pred.push(d.0);
+        for i in 0..n {
+            succ_off[i + 1] += succ_off[i];
+        }
+        let mut succ = vec![0u32; self.pred.len()];
+        for i in 0..n as u32 {
+            for &p in self.preds(i) {
+                debug_assert!(p < i, "dependencies must point backwards");
+                let cur = &mut succ_off[p as usize];
+                succ[*cur as usize] = i;
+                *cur += 1;
             }
         }
+        succ_off.copy_within(..n, 1);
+        succ_off[0] = 0;
 
-        let roots: Vec<u32> = (0..n as u32)
-            .filter(|&i| indegree[i as usize] == 0)
+        let roots: Vec<u32> = (0..n as u32).filter(|&i| self.indegree(i) == 0).collect();
+        let rows = self
+            .ops
+            .iter()
+            .enumerate()
+            .map(|(i, op)| {
+                debug_assert_eq!(op.id.index(), i, "ops must be stored in id order");
+                row_of(&op.kind, op.step)
+            })
             .collect();
-        // The builder only accepts backward-pointing dependencies, so
-        // creation order *is* a topological order.
-        let topo: Vec<u32> = (0..n as u32).collect();
 
         FrozenSchedule {
             sched: self,
             succ_off,
             succ,
-            pred_off,
-            pred,
-            indegree,
             roots,
-            topo,
             rows,
             validated: std::sync::OnceLock::new(),
         }
@@ -195,36 +179,11 @@ impl FrozenSchedule {
         self.rows.len()
     }
 
-    /// Number of dependency edges.
-    #[inline]
-    pub fn n_edges(&self) -> usize {
-        self.succ.len()
-    }
-
     /// Ops that depend on `op`, in the order the builder recorded them.
     #[inline]
     pub fn succs(&self, op: u32) -> &[u32] {
         let (a, b) = (self.succ_off[op as usize], self.succ_off[op as usize + 1]);
         &self.succ[a as usize..b as usize]
-    }
-
-    /// Dependencies of `op` (same order as `Op::deps`).
-    #[inline]
-    pub fn preds(&self, op: u32) -> &[u32] {
-        let (a, b) = (self.pred_off[op as usize], self.pred_off[op as usize + 1]);
-        &self.pred[a as usize..b as usize]
-    }
-
-    /// Dependency count of `op`.
-    #[inline]
-    pub fn indegree(&self, op: u32) -> u32 {
-        self.indegree[op as usize]
-    }
-
-    /// All indegrees, indexed by op.
-    #[inline]
-    pub fn indegrees(&self) -> &[u32] {
-        &self.indegree
     }
 
     /// Ops with no dependencies, in creation order.
@@ -233,10 +192,11 @@ impl FrozenSchedule {
         &self.roots
     }
 
-    /// A topological order of the ops (creation order, by construction).
+    /// A topological order of the ops: creation order, because the
+    /// builder only accepts backward-pointing dependencies.
     #[inline]
-    pub fn topo_order(&self) -> &[u32] {
-        &self.topo
+    pub fn topo_order(&self) -> std::ops::Range<u32> {
+        0..self.n_ops() as u32
     }
 
     /// The dense per-op summary table.
@@ -332,9 +292,9 @@ mod tests {
         assert_eq!(fs.succs(3), &[] as &[u32]);
         assert_eq!(fs.preds(3), &[1, 2]);
         assert_eq!(fs.preds(0), &[] as &[u32]);
-        assert_eq!(fs.indegrees(), &[0, 1, 1, 2]);
+        assert_eq!(fs.indegrees().collect::<Vec<_>>(), [0, 1, 1, 2]);
         assert_eq!(fs.roots(), &[0]);
-        assert_eq!(fs.topo_order(), &[0, 1, 2, 3]);
+        assert_eq!(fs.topo_order(), 0..4);
     }
 
     #[test]

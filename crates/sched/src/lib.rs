@@ -11,9 +11,11 @@
 //! * a [`ScheduleBuilder`] that keeps the graph acyclic by construction,
 //! * [`validate`]/[`check_races`] which prove a schedule is structurally
 //!   sound and deterministic under any interleaving,
-//! * [`Schedule::freeze`] → [`FrozenSchedule`], the execution-ready form:
-//!   CSR predecessor/successor adjacency, indegrees, a topological order and
-//!   a dense per-op table, shared by every interpreter,
+//! * a [`Schedule`] the builder writes in execution form — plain
+//!   `{id, kind, step}` ops, one CSR predecessor arena, labels derived on
+//!   demand ([`Schedule::label`]),
+//! * [`Schedule::freeze`] → [`FrozenSchedule`], which adds the successor
+//!   index, the roots and a dense per-op table, shared by every interpreter,
 //! * [`runtime`], the indegree-counter readiness drivers ([`ReadySet`],
 //!   [`AtomicReadySet`]) both backends schedule with, and
 //! * [`probe`], the pluggable observability seam ([`Probe`] sinks: JSONL
@@ -58,14 +60,14 @@ mod topology;
 mod validate;
 
 pub use buffer::{BufKind, BufferDecl, Loc};
-pub use builder::{RankCursors, ScheduleBuilder};
+pub use builder::{Deps, RankCursors, ScheduleBuilder};
 pub use fingerprint::{Fingerprint, Fingerprinter};
 pub use frozen::{FrozenSchedule, OpClass, OpRow};
 pub use grid::ProcGrid;
 pub use ids::{BufId, GroupId, NodeId, OpId, RankId};
 pub use invariant::{InvariantProbe, Violation};
 pub use merge::{merge_parts, MergeError, MergePart, Merged};
-pub use op::{Channel, DType, Op, OpKind, RailSet, RedOp};
+pub use op::{Channel, DType, Op, OpKind, OpLabel, RailSet, RedOp};
 pub use probe::{
     intersection_length, union_length, JsonlProbe, NullProbe, Probe, ResourceUtil, RunSummary,
     SummaryProbe, Tee,

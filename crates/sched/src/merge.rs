@@ -116,10 +116,8 @@ impl std::error::Error for MergeError {}
 /// Ops of `sch` no other op depends on — the part's completion frontier.
 fn sinks(sch: &Schedule) -> Vec<u32> {
     let mut has_succ = vec![false; sch.ops().len()];
-    for op in sch.ops() {
-        for d in &op.deps {
-            has_succ[d.index()] = true;
-        }
+    for &d in &sch.pred {
+        has_succ[d as usize] = true;
     }
     (0..sch.ops().len() as u32)
         .filter(|&i| !has_succ[i as usize])
@@ -148,45 +146,53 @@ pub fn merge_parts(cluster: ProcGrid, parts: &[MergePart]) -> Result<Merged, Mer
     }
 
     let n_ops: usize = parts.iter().map(|p| p.sched.ops().len()).sum();
+    let n_edges: usize = parts.iter().map(|p| p.sched.n_edges()).sum();
     let n_bufs: usize = parts.iter().map(|p| p.sched.buffers().len()).sum();
-    let mut buffers = Vec::with_capacity(n_bufs);
-    let mut ops = Vec::with_capacity(n_ops);
+    let mut out = Schedule::empty(
+        cluster,
+        if parts.len() == 1 {
+            parts[0].sched.name().to_string()
+        } else {
+            format!("traffic[{} jobs]", parts.len())
+        },
+    );
+    out.buffers.reserve_exact(n_bufs);
+    out.ops.reserve_exact(n_ops);
+    out.pred_off.reserve_exact(n_ops);
+    out.pred.reserve_exact(n_edges);
     let mut release = vec![0.0f64; n_ops];
     let mut any_release = false;
     let mut spans = Vec::with_capacity(parts.len());
     // Global sink ids per already-merged part, for chaining.
-    let mut part_sinks: Vec<Vec<OpId>> = Vec::with_capacity(parts.len());
+    let mut part_sinks: Vec<Vec<u32>> = Vec::with_capacity(parts.len());
 
     for p in parts {
-        let op_off = ops.len() as u32;
-        let buf_off = buffers.len() as u32;
-        let remap_loc = |l: Loc| Loc {
-            buf: BufId(l.buf.0 + buf_off),
-            offset: l.offset,
-        };
+        let op_off = out.ops.len() as u32;
+        let buf_off = out.buffers.len() as u32;
+        let remap_loc = |l: &mut Loc| l.buf = BufId(l.buf.0 + buf_off);
 
         for b in p.sched.buffers() {
             let mut b = b.clone();
             b.id = BufId(b.id.0 + buf_off);
-            buffers.push(b);
+            out.buffers.push(b);
         }
 
-        part_sinks.push(
-            sinks(p.sched)
-                .into_iter()
-                .map(|i| OpId(i + op_off))
-                .collect(),
-        );
+        part_sinks.push(sinks(p.sched).into_iter().map(|i| i + op_off).collect());
+        out.names
+            .extend(p.sched.names.iter().map(|&(op, name)| (op + op_off, name)));
 
-        for op in p.sched.ops() {
-            let gid = OpId(op.id.0 + op_off);
-            let mut deps: Vec<OpId> = op.deps.iter().map(|d| OpId(d.0 + op_off)).collect();
+        for (i, op) in p.sched.ops().iter().enumerate() {
+            let deps = p.sched.preds(i as u32);
             let is_root = deps.is_empty();
+            out.pred.extend(deps.iter().map(|&d| d + op_off));
             if is_root {
                 if let Some(a) = p.after {
-                    deps.extend_from_slice(&part_sinks[a]);
+                    out.pred.extend_from_slice(&part_sinks[a]);
                 }
             }
+            out.pred_off
+                .push(u32::try_from(out.pred.len()).expect("edge count overflows u32"));
+
             let mut rel = p.sched.release_of(op.id);
             if is_root {
                 rel += p.release;
@@ -194,73 +200,33 @@ pub fn merge_parts(cluster: ProcGrid, parts: &[MergePart]) -> Result<Merged, Mer
             if rel > 0.0 {
                 any_release = true;
             }
-            release[gid.index()] = rel;
+            release[out.ops.len()] = rel;
 
-            let mut op = op.clone();
-            op.id = gid;
-            op.deps = deps;
-            op.kind = match op.kind {
-                OpKind::Transfer {
-                    src_rank,
-                    dst_rank,
-                    src,
-                    dst,
-                    len,
-                    channel,
-                } => OpKind::Transfer {
-                    src_rank,
-                    dst_rank,
-                    src: remap_loc(src),
-                    dst: remap_loc(dst),
-                    len,
-                    channel,
-                },
-                OpKind::Copy {
-                    actor,
-                    src,
-                    dst,
-                    len,
-                } => OpKind::Copy {
-                    actor,
-                    src: remap_loc(src),
-                    dst: remap_loc(dst),
-                    len,
-                },
-                OpKind::Reduce {
-                    actor,
-                    acc,
-                    operand,
-                    len,
-                    dtype,
-                    op,
-                } => OpKind::Reduce {
-                    actor,
-                    acc: remap_loc(acc),
-                    operand: remap_loc(operand),
-                    len,
-                    dtype,
-                    op,
-                },
-                OpKind::Compute { actor, flops } => OpKind::Compute { actor, flops },
-            };
-            ops.push(op);
+            let mut op = *op;
+            op.id = OpId(op.id.0 + op_off);
+            match &mut op.kind {
+                OpKind::Transfer { src, dst, .. } | OpKind::Copy { src, dst, .. } => {
+                    remap_loc(src);
+                    remap_loc(dst);
+                }
+                OpKind::Reduce { acc, operand, .. } => {
+                    remap_loc(acc);
+                    remap_loc(operand);
+                }
+                OpKind::Compute { .. } => {}
+            }
+            out.ops.push(op);
         }
-        spans.push(op_off..ops.len() as u32);
+        spans.push(op_off..out.ops.len() as u32);
     }
 
-    let name = if parts.len() == 1 {
-        parts[0].sched.name().to_string()
-    } else {
-        format!("traffic[{} jobs]", parts.len())
-    };
-    let schedule = Schedule::from_parts(
-        cluster,
-        buffers,
-        ops,
-        name,
-        if any_release { release } else { Vec::new() },
-    );
-    Ok(Merged { schedule, spans })
+    if any_release {
+        out.release = release;
+    }
+    Ok(Merged {
+        schedule: out,
+        spans,
+    })
 }
 
 #[cfg(test)]
@@ -313,6 +279,10 @@ mod tests {
             format!("{:?}", sch.buffers())
         );
         assert_eq!(m.schedule.name(), "solo");
+        assert_eq!(
+            m.schedule.freeze().fingerprint(),
+            sch.freeze().fingerprint()
+        );
     }
 
     #[test]
@@ -343,7 +313,7 @@ mod tests {
         assert_eq!(sch.ops().len(), 4);
         assert_eq!(sch.buffers().len(), 6);
         // Part b's copy depends on part b's transfer, not part a's.
-        assert_eq!(sch.ops()[3].deps, vec![OpId(2)]);
+        assert_eq!(sch.preds(3), &[2]);
         match &sch.ops()[2].kind {
             OpKind::Transfer { src, dst, .. } => {
                 assert_eq!(src.buf, BufId(3));
@@ -356,6 +326,33 @@ mod tests {
         assert_eq!(sch.release_of(OpId(0)), 0.0);
         assert_eq!(sch.release_of(OpId(3)), 0.0);
         assert!(crate::validate(sch, Some(2)).is_ok());
+    }
+
+    #[test]
+    fn marker_names_follow_their_ops() {
+        let grid = ProcGrid::new(4, 2);
+        let mut b = ScheduleBuilder::new(grid, "m");
+        let c = b.compute(RankId(0), 1, &[], 0);
+        b.push(
+            OpKind::Compute {
+                actor: RankId(1),
+                flops: 0,
+            },
+            &[c],
+            0,
+            "sync",
+        );
+        let sch = b.finish();
+        let part = MergePart {
+            sched: &sch,
+            release: 0.0,
+            after: None,
+        };
+        let m = merge_parts(grid, &[part, part]).unwrap();
+        let labels: Vec<String> = (0..4)
+            .map(|i| m.schedule.label(OpId(i)).to_string())
+            .collect();
+        assert_eq!(labels, ["comp@r0", "sync", "comp@r0", "sync"]);
     }
 
     #[test]
@@ -382,7 +379,7 @@ mod tests {
         let sch = &m.schedule;
         // Part a's sink is its copy (op 1); part b's root (op 2) now
         // depends on it, with the think time as a relative release.
-        assert_eq!(sch.ops()[2].deps, vec![OpId(1)]);
+        assert_eq!(sch.preds(2), &[1]);
         assert_eq!(sch.release_of(OpId(2)), 5e-4);
         assert!(crate::validate(sch, Some(2)).is_ok());
     }

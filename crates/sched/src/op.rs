@@ -128,7 +128,7 @@ pub enum RedOp {
 }
 
 /// One operation in the DAG.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OpKind {
     /// Move `len` bytes from `src` (addressed by `src_rank`) to `dst`
     /// (addressed by `dst_rank`) over `channel`.
@@ -234,26 +234,63 @@ impl OpKind {
     }
 }
 
-/// An operation plus its DAG bookkeeping.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// An operation plus its step tag. Its dependencies live in the owning
+/// schedule's CSR arena ([`crate::Schedule::preds`]) and its label is
+/// derived on demand ([`crate::Schedule::label`]), so an op owns no heap
+/// memory.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Op {
     /// Dense identifier (creation order; dependencies always point backwards).
     pub id: OpId,
     /// What the op does.
     pub kind: OpKind,
-    /// Operations that must complete before this one starts.
-    pub deps: Vec<OpId>,
     /// Algorithm step this op belongs to (for step-count assertions, traces
     /// and the Fig. 2-style timeline). Zero-based; `u32::MAX` = unassigned.
     pub step: u32,
-    /// Human-readable label.
-    pub label: String,
 }
 
 impl Op {
     /// Whether a step was assigned.
     pub fn has_step(&self) -> bool {
         self.step != u32::MAX
+    }
+}
+
+/// An op's human-readable label, rendered through [`std::fmt::Display`].
+///
+/// Most ops are labelled by what they do — `r3->r0` for a transfer,
+/// `copy@r0`, `red@r0`, `comp@r0` — which is derived from the op's kind
+/// whenever a trace or dump asks. Marker ops pushed with an explicit name
+/// (`"sync"`, `"stripe-join"`, …) keep that name.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum OpLabel<'a> {
+    /// The explicit name the op was pushed with.
+    Named(&'static str),
+    /// The label the op's kind implies.
+    Derived(&'a OpKind),
+}
+
+impl OpLabel<'_> {
+    /// The explicit name, if the op was pushed with one.
+    pub fn name(self) -> Option<&'static str> {
+        match self {
+            OpLabel::Named(n) => Some(n),
+            OpLabel::Derived(_) => None,
+        }
+    }
+}
+
+impl std::fmt::Display for OpLabel<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            OpLabel::Named(n) => f.write_str(n),
+            OpLabel::Derived(OpKind::Transfer {
+                src_rank, dst_rank, ..
+            }) => write!(f, "{src_rank}->{dst_rank}"),
+            OpLabel::Derived(OpKind::Copy { actor, .. }) => write!(f, "copy@{actor}"),
+            OpLabel::Derived(OpKind::Reduce { actor, .. }) => write!(f, "red@{actor}"),
+            OpLabel::Derived(OpKind::Compute { actor, .. }) => write!(f, "comp@{actor}"),
+        }
     }
 }
 

@@ -20,6 +20,7 @@
 use std::io::{self, Write};
 
 use crate::frozen::FrozenSchedule;
+use crate::ids::OpId;
 
 /// Observer of a single schedule execution.
 ///
@@ -272,7 +273,7 @@ impl<W: Write> Probe for JsonlProbe<W> {
                 row.bytes,
                 step,
                 row.rank,
-                json_escape(&fs.ops()[i].label)
+                json_escape(&fs.label(OpId::from(i)).to_string())
             ));
         }
     }

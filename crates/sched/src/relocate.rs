@@ -6,7 +6,8 @@
 //! [`relocate_onto`] performs the mechanical half of that placement: every
 //! rank, node and buffer owner is remapped through the placement's node
 //! list while the op DAG — dependencies, byte counts, channels, steps,
-//! release delays — is preserved verbatim.
+//! explicit names, release delays — is preserved verbatim. Derived labels
+//! follow the remapped ranks.
 //!
 //! The transform is intentionally *structure-preserving*: op `i` of the
 //! relocated schedule is op `i` of the original with its endpoints renamed,
@@ -120,8 +121,8 @@ pub fn validate_placement(
 /// own node `n`, returning a schedule over the `cluster` grid. Rank `r`
 /// (job node `n`, local index `l`) becomes cluster rank
 /// `nodes[n] * ppn + l`; buffer owners are remapped the same way and
-/// everything else — ops, dependencies, lengths, channels, steps, labels,
-/// release delays — is carried over unchanged.
+/// everything else — ops, dependencies, lengths, channels, steps,
+/// explicit names, release delays — is carried over unchanged.
 pub fn relocate_onto(
     sch: &Schedule,
     cluster: ProcGrid,
@@ -153,74 +154,32 @@ pub fn relocate_onto(
         .ops()
         .iter()
         .map(|op| {
-            let mut op = op.clone();
-            op.kind = match op.kind {
+            let mut op = *op;
+            match &mut op.kind {
                 OpKind::Transfer {
-                    src_rank,
-                    dst_rank,
-                    src,
-                    dst,
-                    len,
-                    channel,
-                } => OpKind::Transfer {
-                    src_rank: map_rank(src_rank),
-                    dst_rank: map_rank(dst_rank),
-                    src,
-                    dst,
-                    len,
-                    channel,
-                },
-                OpKind::Copy {
-                    actor,
-                    src,
-                    dst,
-                    len,
-                } => OpKind::Copy {
-                    actor: map_rank(actor),
-                    src,
-                    dst,
-                    len,
-                },
-                OpKind::Reduce {
-                    actor,
-                    acc,
-                    operand,
-                    len,
-                    dtype,
-                    op,
-                } => OpKind::Reduce {
-                    actor: map_rank(actor),
-                    acc,
-                    operand,
-                    len,
-                    dtype,
-                    op,
-                },
-                OpKind::Compute { actor, flops } => OpKind::Compute {
-                    actor: map_rank(actor),
-                    flops,
-                },
-            };
+                    src_rank, dst_rank, ..
+                } => {
+                    *src_rank = map_rank(*src_rank);
+                    *dst_rank = map_rank(*dst_rank);
+                }
+                OpKind::Copy { actor, .. }
+                | OpKind::Reduce { actor, .. }
+                | OpKind::Compute { actor, .. } => *actor = map_rank(*actor),
+            }
             op
         })
         .collect();
 
-    let release = (0..sch.ops().len())
-        .map(|i| sch.release_of(crate::ids::OpId::from(i)))
-        .collect::<Vec<_>>();
-    let release = if sch.has_releases() {
-        release
-    } else {
-        Vec::new()
-    };
-
-    Ok(Schedule::from_parts(
-        cluster,
+    Ok(Schedule {
+        grid: cluster,
         buffers,
         ops,
-        sch.name().to_string(),
-        release,
-    ))
+        pred_off: sch.pred_off.clone(),
+        pred: sch.pred.clone(),
+        names: sch.names.clone(),
+        name: sch.name.clone(),
+        release: sch.release.clone(),
+    })
 }
 
 #[cfg(test)]
@@ -273,10 +232,21 @@ mod tests {
         assert_eq!(out.buffers()[1].kind, BufKind::Private(RankId(6)));
         assert_eq!(out.buffers()[2].kind, BufKind::NodeShared(NodeId(3)));
         // Structure is untouched.
-        assert_eq!(out.ops()[1].deps, vec![OpId(0)]);
+        assert_eq!(out.preds(1), &[0]);
         assert_eq!(out.release_of(OpId(0)), 2.5e-6);
         assert_eq!(out.release_of(OpId(1)), 0.0);
         assert!(crate::validate(&out, Some(2)).is_ok());
+    }
+
+    #[test]
+    fn relocated_ops_are_labelled_with_cluster_ranks() {
+        let sch = job();
+        assert_eq!(sch.label(OpId(0)).to_string(), "r0->r2");
+        assert_eq!(sch.label(OpId(1)).to_string(), "copy@r2");
+        // Job node 0 -> cluster node 5 (ranks 10, 11); node 1 -> 9 (18, 19).
+        let out = relocate_onto(&sch, ProcGrid::new(12, 2), &[5, 9]).unwrap();
+        assert_eq!(out.label(OpId(0)).to_string(), "r10->r18");
+        assert_eq!(out.label(OpId(1)).to_string(), "copy@r18");
     }
 
     #[test]
@@ -284,6 +254,10 @@ mod tests {
         let sch = job();
         let out = relocate_onto(&sch, *sch.grid(), &[0, 1]).unwrap();
         assert_eq!(format!("{:?}", out.ops()), format!("{:?}", sch.ops()));
+        assert_eq!(
+            out.clone().freeze().fingerprint(),
+            sch.clone().freeze().fingerprint()
+        );
         assert_eq!(
             format!("{:?}", out.buffers()),
             format!("{:?}", sch.buffers())

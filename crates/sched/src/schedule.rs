@@ -5,7 +5,7 @@
 use crate::buffer::{BufKind, BufferDecl};
 use crate::grid::ProcGrid;
 use crate::ids::{BufId, NodeId, OpId, RankId};
-use crate::op::{Channel, Op, OpKind};
+use crate::op::{Channel, Op, OpKind, OpLabel};
 
 /// Aggregate statistics of a schedule, used by tests to assert algorithmic
 /// properties (step counts, traffic volume per channel) without executing.
@@ -34,38 +34,45 @@ pub struct ScheduleStats {
 }
 
 /// A complete schedule.
+///
+/// The op table is the execution form already: each [`Op`] is a plain
+/// `{id, kind, step}` row, and the dependency edges live in one CSR arena
+/// (`pred_off`/`pred`) the builder appends to. [`Schedule::freeze`] only
+/// adds the successor index and the per-op summary rows.
 #[derive(Debug, Clone)]
 pub struct Schedule {
-    grid: ProcGrid,
-    buffers: Vec<BufferDecl>,
-    ops: Vec<Op>,
+    pub(crate) grid: ProcGrid,
+    pub(crate) buffers: Vec<BufferDecl>,
+    pub(crate) ops: Vec<Op>,
+    /// Dependencies of op `i`: `pred[pred_off[i]..pred_off[i + 1]]`,
+    /// ascending and duplicate-free. `pred_off` has `ops.len() + 1` entries.
+    pub(crate) pred_off: Vec<u32>,
+    pub(crate) pred: Vec<u32>,
+    /// Explicit op names, `(op, name)` ascending by op; every other op's
+    /// label is derived from its kind (see [`OpLabel`]).
+    pub(crate) names: Vec<(u32, &'static str)>,
     /// Human-readable name of the algorithm that produced this schedule.
-    name: String,
+    pub(crate) name: String,
     /// Per-op release delays in seconds (empty ⇒ all zero): op `i` may not
     /// start before `ready(i) + alpha(i) + release[i]`. The multi-tenant
     /// traffic layer uses this to model job arrival times (on the roots of
     /// an open-loop job) and client think times (on the roots of a chained
     /// closed-loop job). Virtual-time only — the real executors ignore it.
-    release: Vec<f64>,
+    pub(crate) release: Vec<f64>,
 }
 
 impl Schedule {
-    /// Assembles a schedule. Called by the builder; users go through
-    /// [`crate::builder::ScheduleBuilder`].
-    pub(crate) fn from_parts(
-        grid: ProcGrid,
-        buffers: Vec<BufferDecl>,
-        ops: Vec<Op>,
-        name: String,
-        release: Vec<f64>,
-    ) -> Self {
-        debug_assert!(release.is_empty() || release.len() == ops.len());
+    /// An op-less schedule over `grid`, ready to be appended to.
+    pub(crate) fn empty(grid: ProcGrid, name: String) -> Self {
         Schedule {
             grid,
-            buffers,
-            ops,
+            buffers: Vec::new(),
+            ops: Vec::new(),
+            pred_off: vec![0],
+            pred: Vec::new(),
+            names: Vec::new(),
             name,
-            release,
+            release: Vec::new(),
         }
     }
 
@@ -106,6 +113,39 @@ impl Schedule {
         &self.ops
     }
 
+    /// Dependencies of `op`, ascending.
+    #[inline]
+    pub fn preds(&self, op: u32) -> &[u32] {
+        let (a, b) = (self.pred_off[op as usize], self.pred_off[op as usize + 1]);
+        &self.pred[a as usize..b as usize]
+    }
+
+    /// Dependency count of `op`.
+    #[inline]
+    pub fn indegree(&self, op: u32) -> u32 {
+        self.pred_off[op as usize + 1] - self.pred_off[op as usize]
+    }
+
+    /// All dependency counts, in op order.
+    pub fn indegrees(&self) -> impl ExactSizeIterator<Item = u32> + '_ {
+        self.pred_off.windows(2).map(|w| w[1] - w[0])
+    }
+
+    /// Number of dependency edges.
+    #[inline]
+    pub fn n_edges(&self) -> usize {
+        self.pred.len()
+    }
+
+    /// The human-readable label of `id`: its explicit name if it was pushed
+    /// with one, otherwise derived from its kind (`r3->r0`, `copy@r0`, …).
+    pub fn label(&self, id: OpId) -> OpLabel<'_> {
+        match self.names.binary_search_by_key(&id.0, |&(op, _)| op) {
+            Ok(k) => OpLabel::Named(self.names[k].1),
+            Err(_) => OpLabel::Derived(&self.ops[id.index()].kind),
+        }
+    }
+
     /// Looks up a buffer declaration.
     #[inline]
     pub fn buffer(&self, id: BufId) -> &BufferDecl {
@@ -142,7 +182,13 @@ impl Schedule {
         // ordered because deps always point backwards).
         let mut depth = vec![0usize; self.ops.len()];
         for op in &self.ops {
-            let d = op.deps.iter().map(|p| depth[p.index()]).max().unwrap_or(0) + 1;
+            let d = self
+                .preds(op.id.0)
+                .iter()
+                .map(|&p| depth[p as usize])
+                .max()
+                .unwrap_or(0)
+                + 1;
             depth[op.id.index()] = d;
             s.critical_path = s.critical_path.max(d);
             if op.has_step() {
@@ -189,13 +235,13 @@ impl Schedule {
                 out,
                 "  {} [label=\"{}\\n{} {}B s{}\"];",
                 op.id.index(),
-                op.label,
+                self.label(op.id),
                 op.kind.kind_name(),
                 op.kind.bytes(),
                 if op.has_step() { op.step as i64 } else { -1 },
             );
-            for &d in &op.deps {
-                let _ = writeln!(out, "  {} -> {};", d.index(), op.id.index());
+            for &d in self.preds(op.id.0) {
+                let _ = writeln!(out, "  {} -> {};", d, op.id.index());
             }
         }
         out.push_str("}\n");
@@ -262,7 +308,7 @@ mod tests {
         let fs = tiny().freeze();
         assert_eq!(fs.succs(0), &[1]);
         assert!(fs.succs(1).is_empty());
-        assert_eq!(fs.indegrees(), &[0, 1]);
+        assert_eq!(fs.indegrees().collect::<Vec<_>>(), [0, 1]);
         assert_eq!(fs.ops().len(), 2);
     }
 
@@ -282,6 +328,43 @@ mod tests {
         let dot = sch.to_dot();
         assert!(dot.contains("digraph"));
         assert!(dot.contains("0 -> 1;"));
+        assert!(dot.contains("[label=\"t\\ncma 16B s0\"]"));
+    }
+
+    #[test]
+    fn labels_are_derived_unless_named() {
+        let sch = tiny();
+        assert_eq!(sch.label(OpId(0)).to_string(), "t");
+        assert_eq!(sch.label(OpId(1)).to_string(), "c");
+        let mut b = ScheduleBuilder::new(ProcGrid::single_node(2), "l");
+        let buf = b.private_buf(RankId(1), 16, "x");
+        let loc = Loc::new(buf, 0);
+        b.transfer(RankId(0), RankId(1), loc, loc, 8, Channel::Cma, &[], 0);
+        b.reduce(
+            RankId(1),
+            loc,
+            loc,
+            8,
+            crate::op::DType::F32,
+            crate::op::RedOp::Sum,
+            &[],
+            0,
+        );
+        b.push(
+            OpKind::Compute {
+                actor: RankId(1),
+                flops: 0,
+            },
+            &[],
+            0,
+            "sync",
+        );
+        b.compute(RankId(0), 1, &[], 0);
+        let sch = b.finish();
+        let labels: Vec<String> = (0..4).map(|i| sch.label(OpId(i)).to_string()).collect();
+        assert_eq!(labels, ["r0->r1", "red@r1", "sync", "comp@r0"]);
+        assert_eq!(sch.label(OpId(2)).name(), Some("sync"));
+        assert_eq!(sch.label(OpId(3)).name(), None);
     }
 
     #[test]

@@ -283,8 +283,8 @@ impl Reach {
             // Split at the current op's row to borrow ancestor rows immutably.
             let (prev, cur) = bits.split_at_mut(i * words);
             let row = &mut cur[..words];
-            for &d in &op.deps {
-                let j = d.index();
+            for &d in sch.preds(op.id.0) {
+                let j = d as usize;
                 row[j / 64] |= 1 << (j % 64);
                 let drow = &prev[j * words..(j + 1) * words];
                 for (r, d) in row.iter_mut().zip(drow) {

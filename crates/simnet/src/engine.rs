@@ -1926,8 +1926,8 @@ mod tests {
         let sch = b.finish().freeze();
         let r = sim().run(&sch).unwrap();
         for op in sch.ops() {
-            for &d in &op.deps {
-                assert!(r.op_end[d.index()] <= r.op_end[op.id.index()]);
+            for &d in sch.preds(op.id.0) {
+                assert!(r.op_end[d as usize] <= r.op_end[op.id.index()]);
             }
         }
     }

@@ -59,8 +59,8 @@ fn every_allgather_survives_the_full_pipeline() {
         assert!(res.makespan > 0.0, "{}", algo.name());
         // Every op completed in finite time and respects dependencies.
         for op in built.sched.ops() {
-            for &d in &op.deps {
-                assert!(res.op_end[d.index()] <= res.op_end[op.id.index()]);
+            for &d in built.sched.preds(op.id.0) {
+                assert!(res.op_end[d as usize] <= res.op_end[op.id.index()]);
             }
         }
     }

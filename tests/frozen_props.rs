@@ -74,7 +74,7 @@ proptest! {
         let topo = fs.topo_order();
         prop_assert_eq!(topo.len(), n);
         let mut pos = vec![usize::MAX; n];
-        for (k, &op) in topo.iter().enumerate() {
+        for (k, op) in topo.enumerate() {
             prop_assert_eq!(pos[op as usize], usize::MAX, "duplicate in topo order");
             pos[op as usize] = k;
         }

@@ -63,8 +63,8 @@ proptest! {
         let res = sim.run(&built.sched).unwrap();
         prop_assert!(res.makespan > 0.0 && res.makespan.is_finite());
         for op in built.sched.ops() {
-            for &d in &op.deps {
-                prop_assert!(res.op_end[d.index()] <= res.op_end[op.id.index()]);
+            for &d in built.sched.preds(op.id.0) {
+                prop_assert!(res.op_end[d as usize] <= res.op_end[op.id.index()]);
             }
         }
         // No resource can be more than fully utilized.
