@@ -6,7 +6,8 @@
 
 use mha_apps::report::{fmt_bytes, Table};
 use mha_bench::campaign::{run_campaign, CampaignConfig, CampaignPoint, ConfigKey};
-use mha_collectives::mha::{build_mha_inter, build_mha_intra, MhaInterConfig, Offload};
+use mha_collectives::mha::Offload;
+use mha_collectives::{build, AlgoConfig};
 use mha_sched::ProcGrid;
 use mha_simnet::ClusterSpec;
 
@@ -25,7 +26,7 @@ fn main() {
             key,
             spec.clone(),
             move || {
-                build_mha_intra(grid, msg, Offload::None, &spec2)
+                build(&AlgoConfig::mha_intra(Offload::None), grid, msg, &spec2)
                     .map(|b| b.sched)
                     .map_err(|e| format!("{e:?}"))
             },
@@ -37,7 +38,7 @@ fn main() {
             key,
             spec.clone(),
             move || {
-                build_mha_intra(grid, msg, Offload::Auto, &spec2)
+                build(&AlgoConfig::mha_intra(Offload::Auto), grid, msg, &spec2)
                     .map(|b| b.sched)
                     .map_err(|e| format!("{e:?}"))
             },
@@ -46,7 +47,7 @@ fn main() {
         let key = ConfigKey::new("mha_inter/default", grid, msg, &spec);
         let spec2 = spec.clone();
         cells.push(CampaignPoint::sim("inter", key, spec.clone(), move || {
-            build_mha_inter(grid, msg, MhaInterConfig::default(), &spec2)
+            build(&AlgoConfig::default(), grid, msg, &spec2)
                 .map(|b| b.sched)
                 .map_err(|e| format!("{e:?}"))
         }));

@@ -51,10 +51,10 @@ fn main() {
         mha_bench::emit(&t, &format!("fig05_offload_{tag}"));
     }
     let sim = mha_simnet::Simulator::new(spec.clone()).unwrap();
-    let built = mha_collectives::mha::build_mha_intra(
+    let built = mha_collectives::build(
+        &mha_collectives::AlgoConfig::mha_intra(mha_collectives::mha::Offload::Auto),
         mha_sched::ProcGrid::single_node(8),
         1 << 20,
-        mha_collectives::mha::Offload::Auto,
         &spec,
     )
     .unwrap();

@@ -11,7 +11,8 @@ use std::sync::Arc;
 
 use mha_apps::report::{render_run_summary, Table};
 use mha_bench::campaign::{run_campaign, CampaignConfig, CampaignPoint, Row};
-use mha_collectives::mha::{build_mha_inter, InterAlgo, MhaInterConfig, Offload};
+use mha_collectives::mha::{InterAlgo, MhaInterConfig, Offload};
+use mha_collectives::{build, AlgoConfig};
 use mha_sched::{ProcGrid, SummaryProbe, Tee};
 use mha_simnet::{intersection_length, ClusterSpec, Simulator, TraceBuilder};
 
@@ -33,12 +34,12 @@ fn main() {
             let spec = spec.clone();
             CampaignPoint::custom(name, move |_seed| {
                 let grid = ProcGrid::new(8, ppn);
-                let cfg = MhaInterConfig {
+                let cfg = AlgoConfig::mha_inter(MhaInterConfig {
                     inter: algo,
                     offload: Offload::None, // isolate the phase-2/3 overlap effect
                     overlap: true,
-                };
-                let built = build_mha_inter(grid, msg, cfg, &spec).map_err(|e| format!("{e:?}"))?;
+                });
+                let built = build(&cfg, grid, msg, &spec).map_err(|e| format!("{e:?}"))?;
                 let mut tb = TraceBuilder::new();
                 let mut sp = SummaryProbe::new();
                 let res = sim

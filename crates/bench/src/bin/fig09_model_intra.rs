@@ -45,10 +45,10 @@ fn main() {
     }
     mha_bench::emit(&t, "fig09_model_intra");
     let sim = mha_simnet::Simulator::new(spec.clone()).unwrap();
-    let built = mha_collectives::mha::build_mha_intra(
+    let built = mha_collectives::build(
+        &mha_collectives::AlgoConfig::mha_intra(mha_collectives::mha::Offload::Auto),
         mha_sched::ProcGrid::single_node(4),
         4 << 20,
-        mha_collectives::mha::Offload::Auto,
         &spec,
     )
     .unwrap();

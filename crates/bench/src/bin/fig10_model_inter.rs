@@ -46,10 +46,10 @@ fn main() {
     }
     mha_bench::emit(&t, "fig10_model_inter");
     let sim = mha_simnet::Simulator::new(spec.clone()).unwrap();
-    let built = mha_collectives::mha::build_mha_inter(
+    let built = mha_collectives::build(
+        &Default::default(),
         mha_sched::ProcGrid::new(8, 32),
         64 * 1024,
-        Default::default(),
         &spec,
     )
     .unwrap();

@@ -27,10 +27,10 @@ fn main() {
         mha_bench::emit(&t, &format!("fig11_intra_allgather_{ppn}p"));
     }
     let sim = mha_simnet::Simulator::new(spec.clone()).unwrap();
-    let built = mha_collectives::mha::build_mha_intra(
+    let built = mha_collectives::build(
+        &mha_collectives::AlgoConfig::mha_intra(mha_collectives::mha::Offload::Auto),
         ProcGrid::single_node(16),
         4 << 20,
-        mha_collectives::mha::Offload::Auto,
         &spec,
     )
     .unwrap();

@@ -38,7 +38,6 @@ fn main() {
     .unwrap();
     mha_bench::emit(&large, "fig14_inter_allgather_1024_large");
     let sim = mha_simnet::Simulator::new(spec.clone()).unwrap();
-    let built =
-        mha_collectives::mha::build_mha_inter(grid, 64 * 1024, Default::default(), &spec).unwrap();
+    let built = mha_collectives::build(&Default::default(), grid, 64 * 1024, &spec).unwrap();
     mha_bench::emit_run_summary(&sim, &built.sched, "fig14_inter_allgather_1024");
 }

@@ -70,7 +70,6 @@ fn main() {
     let sim = mha_simnet::Simulator::new(spec.clone()).unwrap();
     let grid = ProcGrid::new(8, 32);
     let msg = 32768 * 8 / grid.nranks() as usize;
-    let built =
-        mha_collectives::mha::build_mha_inter(grid, msg, Default::default(), &spec).unwrap();
+    let built = mha_collectives::build(&Default::default(), grid, msg, &spec).unwrap();
     mha_bench::emit_run_summary(&sim, &built.sched, "fig16_matvec");
 }

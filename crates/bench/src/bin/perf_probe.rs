@@ -8,9 +8,8 @@ fn main() {
     for (nodes, ppn, msg) in [(8u32, 32u32, 64 * 1024usize), (32, 32, 64 * 1024)] {
         let grid = mha_sched::ProcGrid::new(nodes, ppn);
         let t0 = Instant::now();
-        let built = mha_collectives::AllgatherAlgo::Ring
-            .build(grid, msg, sim.spec())
-            .unwrap();
+        let ring = mha_collectives::AlgoConfig::flat(mha_collectives::Family::Ring);
+        let built = mha_collectives::build(&ring, grid, msg, sim.spec()).unwrap();
         let t_build = t0.elapsed();
         let t0 = Instant::now();
         let res = sim.run(&built.sched).unwrap();

@@ -1,14 +1,16 @@
 //! The crate's configuration currency: one serializable [`AlgoConfig`]
-//! names any Allgather this crate can build, and one [`build`] dispatcher
-//! turns it into a schedule.
+//! names any Allgather in the paper's design space, and [`build`] is the
+//! only way to turn one into a schedule.
 //!
-//! Everything upstream — the campaign runner's cache keys, the offline
-//! autotuner's tuning-table entries (`mha-tune`), the `--tuned` serving
-//! path in the `fig*` binaries — speaks `AlgoConfig`. The historical
-//! `build_*` free functions and [`crate::AllgatherAlgo`] remain as thin
-//! wrappers over [`build`], so their schedules (and the 14 golden
-//! latencies pinned in `tests/golden_latencies.rs`) are bit-identical to
-//! before the unification.
+//! Everything upstream — the library surrogates' selection rules, the
+//! campaign runner's cache keys, the offline autotuner's tuning-table
+//! entries (`mha-tune`), the `--tuned` serving path in the `fig*`
+//! binaries, the conformance oracles — speaks `AlgoConfig`. The
+//! single-algorithm emitters behind [`build`] are private to this crate;
+//! what stays public beside it is outside this design space
+//! ([`crate::build_composed`] over explicit topology trees,
+//! [`crate::mha::build_mha_numa3`], the Allreduce/Bcast/Alltoall builders)
+//! or is the paper's §5.3 tuning loop ([`crate::build_tuned_mha`]).
 //!
 //! An `AlgoConfig` carries the full design space the repo exposes:
 //!
@@ -140,26 +142,6 @@ impl Default for AlgoConfig {
     }
 }
 
-impl From<crate::AllgatherAlgo> for AlgoConfig {
-    fn from(a: crate::AllgatherAlgo) -> Self {
-        use crate::AllgatherAlgo as A;
-        match a {
-            A::Ring => AlgoConfig::flat(Family::Ring),
-            A::RecursiveDoubling => AlgoConfig::flat(Family::RecursiveDoubling),
-            A::Bruck => AlgoConfig::flat(Family::Bruck),
-            A::DirectSpread => AlgoConfig::flat(Family::DirectSpread),
-            A::SingleLeader => AlgoConfig::flat(Family::SingleLeader),
-            A::MultiLeader { groups } => AlgoConfig::flat(Family::MultiLeader { groups }),
-            A::MhaIntra { offload } => AlgoConfig {
-                family: Family::MhaIntra,
-                offload,
-                ..AlgoConfig::flat(Family::MhaIntra)
-            },
-            A::MhaInter(cfg) => AlgoConfig::mha_inter(cfg),
-        }
-    }
-}
-
 impl AlgoConfig {
     /// A family with every knob at its neutral default.
     pub fn flat(family: Family) -> Self {
@@ -174,7 +156,16 @@ impl AlgoConfig {
         }
     }
 
-    /// The MHA-inter design with the given phase configuration.
+    /// The MHA-intra design (single node) with the given offload policy.
+    pub fn mha_intra(offload: Offload) -> Self {
+        AlgoConfig {
+            offload,
+            ..AlgoConfig::flat(Family::MhaIntra)
+        }
+    }
+
+    /// The MHA-inter design with the given phase configuration. A degraded
+    /// build is `AlgoConfig { down_rails, ..AlgoConfig::mha_inter(cfg) }`.
     pub fn mha_inter(cfg: MhaInterConfig) -> Self {
         AlgoConfig {
             family: Family::MhaInter,
@@ -426,8 +417,7 @@ impl AlgoConfig {
 
 /// Builds the schedule `cfg` names, for `grid` and per-rank contribution
 /// `msg`, against `spec` (with the config's stripe override applied) —
-/// the single dispatch point every other build entry point now routes
-/// through.
+/// the single entry point for every Allgather in the design space.
 ///
 /// # Errors
 ///
@@ -452,16 +442,17 @@ pub fn build(
         Family::Library(lib) => {
             // The surrogate's selection never yields Family::Library, so
             // this recursion terminates after one hop.
-            build(&lib.select_allgather(grid, msg).into(), grid, msg, spec)
+            build(&lib.select_allgather(grid, msg), grid, msg, spec)
         }
         Family::MhaInter => build_mha_inter_cfg(cfg, grid, msg, spec),
     }
 }
 
 /// The MHA-inter arm of [`build`]: the 2-level `[Exchange, Gather]`
-/// composition with the config's chunk and rail knobs applied. With no
-/// chunk and no down rails the schedule (name included) is byte-identical
-/// to the historical `build_mha_inter`.
+/// composition with the config's chunk and rail knobs applied. Exchange
+/// traffic resolves `Channel::AllRails` against the rails not in
+/// `down_rails` (the full set when every rail is down); an empty down set
+/// is the healthy build, name included.
 fn build_mha_inter_cfg(
     cfg: &AlgoConfig,
     grid: ProcGrid,
@@ -498,7 +489,6 @@ fn build_mha_inter_cfg(
 mod tests {
     use super::*;
     use crate::flat::testutil::{assert_allgather_correct, op_stream};
-    use crate::AllgatherAlgo;
     use mha_simnet::Simulator;
 
     fn thor() -> ClusterSpec {
@@ -513,6 +503,7 @@ mod tests {
             AlgoConfig::flat(Family::DirectSpread),
             AlgoConfig::flat(Family::SingleLeader),
             AlgoConfig::flat(Family::MultiLeader { groups: 2 }),
+            AlgoConfig::mha_intra(Offload::Fixed(2)),
             AlgoConfig::flat(Family::Library(Library::HpcX)),
             AlgoConfig::flat(Family::Library(Library::Mvapich2X)),
             AlgoConfig::default(),
@@ -533,44 +524,10 @@ mod tests {
     }
 
     #[test]
-    fn dispatch_reproduces_every_legacy_builder_bit_for_bit() {
+    fn mha_inter_dispatch_is_the_two_level_composer() {
         let spec = thor();
         let grid = ProcGrid::new(4, 4);
         let msg = 4096;
-        // Direct free-function builds (NOT through AllgatherAlgo::build,
-        // which now delegates here) vs the dispatcher.
-        let legacy: Vec<(AllgatherAlgo, Built)> = vec![
-            (AllgatherAlgo::Ring, crate::flat::build_ring(grid, msg)),
-            (
-                AllgatherAlgo::RecursiveDoubling,
-                crate::flat::build_recursive_doubling(grid, msg).unwrap(),
-            ),
-            (AllgatherAlgo::Bruck, crate::flat::build_bruck(grid, msg)),
-            (
-                AllgatherAlgo::DirectSpread,
-                crate::flat::build_direct_spread(grid, msg),
-            ),
-            (
-                AllgatherAlgo::SingleLeader,
-                crate::twolevel::build_single_leader(grid, msg).unwrap(),
-            ),
-            (
-                AllgatherAlgo::MultiLeader { groups: 2 },
-                crate::twolevel::build_multi_leader(grid, msg, 2).unwrap(),
-            ),
-        ];
-        for (algo, built) in legacy {
-            let via_cfg = build(&AlgoConfig::from(algo), grid, msg, &spec).unwrap();
-            assert_eq!(op_stream(&built), op_stream(&via_cfg), "{}", algo.name());
-            assert_eq!(
-                built.sched.fingerprint().0,
-                via_cfg.sched.fingerprint().0,
-                "{}",
-                algo.name()
-            );
-        }
-        // MHA-inter: pin the dispatcher against the historical emission
-        // path (the composer on the two-level tree) and its name format.
         let cfg = MhaInterConfig::default();
         let composed = crate::compose::build_composed(
             &Topology::two_level(grid.nodes(), grid.ppn()),
@@ -581,36 +538,47 @@ mod tests {
         .unwrap();
         let via_cfg = build(&AlgoConfig::mha_inter(cfg), grid, msg, &spec).unwrap();
         assert_eq!(op_stream(&composed), op_stream(&via_cfg));
-        // Legacy name format: no chunk/rails suffixes at defaults.
+        assert_eq!(composed.sched.fingerprint(), via_cfg.sched.fingerprint());
+        // Name format: suffixes only for knobs off their defaults.
         let name = via_cfg.sched.name();
         assert!(name.starts_with("mha-inter-ring(d="), "{name}");
         assert!(!name.contains(",seq") && !name.contains(",c=") && !name.contains(",rails="));
-        // Library families match the surrogates' own builds.
-        for lib in [Library::HpcX, Library::Mvapich2X] {
-            for msg in [256usize, 16 * 1024, 256 * 1024] {
-                let direct = lib.build_allgather(grid, msg, &spec).unwrap();
-                let via_cfg =
-                    build(&AlgoConfig::flat(Family::Library(lib)), grid, msg, &spec).unwrap();
-                assert_eq!(
-                    op_stream(&direct),
-                    op_stream(&via_cfg),
-                    "{}/{msg}",
-                    lib.name()
+        let degraded = AlgoConfig {
+            down_rails: vec![0],
+            ..AlgoConfig::mha_inter(cfg)
+        };
+        let name = build(&degraded, grid, msg, &spec)
+            .unwrap()
+            .sched
+            .name()
+            .to_owned();
+        assert!(name.ends_with(",rails=1/2)"), "{name}");
+    }
+
+    #[test]
+    fn zero_length_message_builds_a_valid_empty_schedule_everywhere() {
+        // msg = 0 used to panic (or emit zero-length transfers that fail
+        // validation) in several builders; every family must produce a
+        // valid, executable no-op schedule.
+        let spec = thor();
+        for cfg in sample_configs() {
+            for grid in [ProcGrid::new(2, 4), ProcGrid::single_node(4)] {
+                if !cfg.valid_for(grid) {
+                    continue;
+                }
+                let built = build(&cfg, grid, 0, &spec).unwrap();
+                assert_allgather_correct(&built);
+                assert!(
+                    built
+                        .sched
+                        .ops()
+                        .iter()
+                        .all(|op| matches!(op.kind, mha_sched::OpKind::Compute { flops: 0, .. })),
+                    "{}: msg=0 should emit only zero-flop markers",
+                    cfg.to_kv()
                 );
             }
         }
-        // MHA-intra on a single node.
-        let direct =
-            crate::mha::build_mha_intra(ProcGrid::single_node(8), msg, Offload::Auto, &spec)
-                .unwrap();
-        let via_cfg = build(
-            &AlgoConfig::flat(Family::MhaIntra),
-            ProcGrid::single_node(8),
-            msg,
-            &spec,
-        )
-        .unwrap();
-        assert_eq!(op_stream(&direct), op_stream(&via_cfg));
     }
 
     #[test]
@@ -684,29 +652,6 @@ mod tests {
         let eff = low.effective_spec(&spec);
         assert_eq!(eff.stripe_threshold, 1024);
         assert_ne!(eff.digest(), spec.digest());
-    }
-
-    #[test]
-    fn degraded_config_matches_legacy_degraded_builder() {
-        let spec = thor();
-        let grid = ProcGrid::new(4, 2);
-        for msg in [16usize, 64 * 1024] {
-            let legacy = crate::mha::build_mha_inter_degraded(
-                grid,
-                msg,
-                MhaInterConfig::default(),
-                &spec,
-                &[0],
-            )
-            .unwrap();
-            let cfg = AlgoConfig {
-                down_rails: vec![0],
-                ..AlgoConfig::default()
-            };
-            let via_cfg = build(&cfg, grid, msg, &spec).unwrap();
-            assert_eq!(op_stream(&legacy), op_stream(&via_cfg), "msg={msg}");
-            assert_eq!(legacy.sched.name(), via_cfg.sched.name());
-        }
     }
 
     #[test]

@@ -11,7 +11,7 @@ use mha_sched::{Loc, ProcGrid, RankId};
 use crate::ctx::{Built, Ctx};
 
 /// Builds a Bruck Allgather.
-pub fn build_bruck(grid: ProcGrid, msg: usize) -> Built {
+pub(crate) fn build_bruck(grid: ProcGrid, msg: usize) -> Built {
     let mut ctx = Ctx::new(grid, msg, "flat-bruck");
     if ctx.is_degenerate() {
         return ctx.finish_degenerate();

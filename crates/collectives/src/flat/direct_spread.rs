@@ -12,7 +12,7 @@ use mha_sched::{ProcGrid, RankId};
 use crate::ctx::{Built, Ctx};
 
 /// Builds a flat Direct-Spread Allgather.
-pub fn build_direct_spread(grid: ProcGrid, msg: usize) -> Built {
+pub(crate) fn build_direct_spread(grid: ProcGrid, msg: usize) -> Built {
     let mut ctx = Ctx::new(grid, msg, "flat-direct-spread");
     if ctx.is_degenerate() {
         return ctx.finish_degenerate();

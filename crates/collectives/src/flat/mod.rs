@@ -10,13 +10,13 @@ mod direct_spread;
 mod recursive_doubling;
 mod ring;
 
-pub use bruck::build_bruck;
+pub(crate) use bruck::build_bruck;
 pub(crate) use bruck::emit_bruck;
-pub use direct_spread::build_direct_spread;
+pub(crate) use direct_spread::build_direct_spread;
 pub(crate) use direct_spread::emit_direct_spread;
-pub use recursive_doubling::build_recursive_doubling;
+pub(crate) use recursive_doubling::build_recursive_doubling;
 pub(crate) use recursive_doubling::emit_recursive_doubling;
-pub use ring::build_ring;
+pub(crate) use ring::build_ring;
 pub(crate) use ring::emit_ring;
 
 #[cfg(test)]

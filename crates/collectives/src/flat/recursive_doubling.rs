@@ -16,7 +16,7 @@ use crate::ctx::{BuildError, Built, Ctx};
 ///
 /// [`BuildError::RequiresPowerOfTwo`] unless `grid.nranks()` is a power of
 /// two.
-pub fn build_recursive_doubling(grid: ProcGrid, msg: usize) -> Result<Built, BuildError> {
+pub(crate) fn build_recursive_doubling(grid: ProcGrid, msg: usize) -> Result<Built, BuildError> {
     let r = grid.nranks();
     if !r.is_power_of_two() {
         return Err(BuildError::RequiresPowerOfTwo {

@@ -10,7 +10,7 @@ use mha_sched::{ProcGrid, RankId};
 use crate::ctx::{Built, Ctx};
 
 /// Builds a flat Ring Allgather for `grid` with per-rank contribution `msg`.
-pub fn build_ring(grid: ProcGrid, msg: usize) -> Built {
+pub(crate) fn build_ring(grid: ProcGrid, msg: usize) -> Built {
     let mut ctx = Ctx::new(grid, msg, "flat-ring");
     if ctx.is_degenerate() {
         return ctx.finish_degenerate();

@@ -8,6 +8,16 @@
 //! pipeline), Ring Allreduce with a pluggable Allgather phase, and the
 //! HPC-X / MVAPICH2-X library surrogates the evaluation compares against.
 //!
+//! Every Allgather in that design space is named by one serializable
+//! [`AlgoConfig`] (e.g. `AlgoConfig::flat(Family::Ring)`,
+//! `AlgoConfig::mha_inter(cfg)`, `AlgoConfig::flat(Family::Library(l))`)
+//! and built by one entry point, [`build`]`(&cfg, grid, msg, &spec)`; a
+//! degraded-rail MHA-inter build is the same config with `down_rails` set.
+//! Beside it stay only the builders outside that design space
+//! ([`build_composed`] over explicit topology trees,
+//! [`mha::build_mha_numa3`], the Allreduce/Bcast/Alltoall builders) and the
+//! paper's §5.3 tuning loop ([`build_tuned_mha`]).
+//!
 //! Hierarchical families are emitted by one **generic composer**
 //! ([`build_composed`]): a [`ComposePlan`] assigns a [`LevelAlgo`] to each
 //! level of an `mha_sched::Topology` tree (exchange at the top, import
@@ -17,7 +27,6 @@
 
 #![warn(missing_docs)]
 
-mod algo;
 mod allreduce;
 mod alltoall;
 mod baselines;
@@ -26,19 +35,18 @@ mod chunks;
 mod compose;
 mod config;
 mod ctx;
-pub mod flat;
+mod flat;
 pub mod mha;
 mod tuned;
 pub mod tuning;
-pub mod twolevel;
+mod twolevel;
 
-pub use algo::AllgatherAlgo;
 pub use allreduce::{build_ring_allreduce, AllgatherPhase};
 pub use alltoall::{build_direct_alltoall, build_mha_alltoall, AlltoallBuilt};
-pub use baselines::{mha_default_allgather, Library};
+pub use baselines::Library;
 pub use bcast::{build_binomial_bcast, build_mha_bcast, BcastBuilt};
 pub use chunks::{chunk_bounds, chunk_bounds_aligned, chunk_len};
-pub use compose::{build_composed, build_composed_degraded, ComposePlan, LevelAlgo};
+pub use compose::{build_composed, ComposePlan, LevelAlgo};
 pub use config::{build, AlgoConfig, Family};
 pub use ctx::{BuildError, Built};
 pub use tuned::{msg_bucket, TableError, TableKey, TunedTable, TABLE_FORMAT_VERSION};

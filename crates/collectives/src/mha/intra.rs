@@ -20,8 +20,8 @@ use crate::mha::offload::{resolve_offload, Offload};
 /// # Errors
 ///
 /// [`BuildError::BadParameter`] if `grid` spans more than one node — use
-/// [`crate::mha::build_mha_inter`] for multi-node layouts.
-pub fn build_mha_intra(
+/// MHA-inter ([`crate::Family::MhaInter`]) for multi-node layouts.
+pub(crate) fn build_mha_intra(
     grid: ProcGrid,
     msg: usize,
     policy: Offload,

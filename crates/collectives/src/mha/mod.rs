@@ -12,8 +12,8 @@ mod intra;
 mod offload;
 
 pub(crate) use inter::emit_mha_inter;
-pub use inter::{build_mha_inter, build_mha_inter_degraded, InterAlgo, MhaInterConfig};
-pub use intra::build_mha_intra;
+pub use inter::{InterAlgo, MhaInterConfig};
+pub(crate) use intra::build_mha_intra;
 pub use offload::{optimal_offload, resolve_offload, tune_offload, Offload, OffloadSweep};
 
 use mha_sched::{ProcGrid, Topology};
@@ -142,7 +142,7 @@ mod numa3_tests {
         let sim = Simulator::new(spec.clone()).unwrap();
         let grid = ProcGrid::new(2, 16);
         let msg = 512 * 1024;
-        let blind = build_mha_inter(grid, msg, MhaInterConfig::default(), &spec).unwrap();
+        let blind = crate::build(&crate::AlgoConfig::default(), grid, msg, &spec).unwrap();
         let aware = build_mha_numa3(grid, msg, Numa3Config::default(), &spec).unwrap();
         let t_blind = sim.run(&blind.sched).unwrap().latency_us();
         let t_aware = sim.run(&aware.sched).unwrap().latency_us();
@@ -164,7 +164,7 @@ mod numa3_tests {
         let sim = Simulator::new(spec.clone()).unwrap();
         let grid = ProcGrid::new(2, 8);
         let msg = 256 * 1024;
-        let blind = build_mha_inter(grid, msg, MhaInterConfig::default(), &spec).unwrap();
+        let blind = crate::build(&crate::AlgoConfig::default(), grid, msg, &spec).unwrap();
         let aware = build_mha_numa3(grid, msg, Numa3Config::default(), &spec).unwrap();
         let t_blind = sim.run(&blind.sched).unwrap().latency_us();
         let t_aware = sim.run(&aware.sched).unwrap().latency_us();

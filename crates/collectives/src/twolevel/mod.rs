@@ -4,7 +4,7 @@
 mod multi_leader;
 mod single_leader;
 
-pub use multi_leader::build_multi_leader;
+pub(crate) use multi_leader::build_multi_leader;
 pub(crate) use multi_leader::emit_multi_leader;
-pub use single_leader::build_single_leader;
+pub(crate) use single_leader::build_single_leader;
 pub(crate) use single_leader::emit_single_leader;

@@ -20,7 +20,11 @@ use crate::ctx::{BuildError, Built, Ctx};
 ///
 /// [`BuildError::BadParameter`] if `groups` is zero or does not divide the
 /// processes-per-node count.
-pub fn build_multi_leader(grid: ProcGrid, msg: usize, groups: u32) -> Result<Built, BuildError> {
+pub(crate) fn build_multi_leader(
+    grid: ProcGrid,
+    msg: usize,
+    groups: u32,
+) -> Result<Built, BuildError> {
     let l = grid.ppn();
     if groups == 0 || !l.is_multiple_of(groups) {
         return Err(BuildError::BadParameter(format!(
@@ -200,9 +204,7 @@ mod tests {
         let grid = ProcGrid::new(8, 8);
         let msg = 128 * 1024;
         let ml = build_multi_leader(grid, msg, 2).unwrap();
-        let mha =
-            crate::mha::build_mha_inter(grid, msg, crate::mha::MhaInterConfig::default(), &spec)
-                .unwrap();
+        let mha = crate::build(&crate::AlgoConfig::default(), grid, msg, &spec).unwrap();
         let t_ml = sim.run(&ml.sched).unwrap().latency_us();
         let t_mha = sim.run(&mha.sched).unwrap().latency_us();
         assert!(

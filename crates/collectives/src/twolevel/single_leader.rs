@@ -20,7 +20,7 @@ use crate::ctx::{BuildError, Built, Ctx};
 ///
 /// [`BuildError::RequiresPowerOfTwo`] unless the node count is a power of
 /// two (the design is RD-only).
-pub fn build_single_leader(grid: ProcGrid, msg: usize) -> Result<Built, BuildError> {
+pub(crate) fn build_single_leader(grid: ProcGrid, msg: usize) -> Result<Built, BuildError> {
     let n = grid.nodes();
     if !n.is_power_of_two() {
         return Err(BuildError::RequiresPowerOfTwo {
@@ -191,9 +191,7 @@ mod tests {
         let grid = ProcGrid::new(16, 2);
         let msg = 2 << 20;
         let sl = build_single_leader(grid, msg).unwrap();
-        let mha =
-            crate::mha::build_mha_inter(grid, msg, crate::mha::MhaInterConfig::default(), &spec)
-                .unwrap();
+        let mha = crate::build(&crate::AlgoConfig::default(), grid, msg, &spec).unwrap();
         let t_sl = sim.run(&sl.sched).unwrap().latency_us();
         let t_mha = sim.run(&mha.sched).unwrap().latency_us();
         assert!(t_mha < t_sl * 0.9, "mha {t_mha} vs single-leader {t_sl}");

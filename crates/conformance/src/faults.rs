@@ -16,9 +16,8 @@
 //!   envelope of the α–β model evaluated at `H − k` rails.
 
 use mha_bench::campaign::simulator_for;
-use mha_collectives::mha::{
-    build_mha_inter, build_mha_inter_degraded, InterAlgo, MhaInterConfig, Offload,
-};
+use mha_collectives::mha::{InterAlgo, MhaInterConfig, Offload};
+use mha_collectives::{build, AlgoConfig};
 use mha_model::{mha_inter_latency, ModelParams, Phase2};
 use mha_sched::{InvariantProbe, ProcGrid};
 use mha_simnet::{ClusterSpec, FaultSpec};
@@ -83,19 +82,23 @@ impl Oracle for FaultOracle {
     /// α–β bandwidth model is not the right yardstick).
     fn check(&self, case: &FaultCase) -> Result<Tally, String> {
         let spec = ClusterSpec::thor_with_rails(case.rails);
-        let cfg = MhaInterConfig {
+        let cfg = AlgoConfig::mha_inter(MhaInterConfig {
             inter: case.inter,
             offload: case.offload,
             overlap: true,
-        };
+        });
 
         // Control: the fault-oblivious build stays healthy.
-        let base = build_mha_inter(case.grid, case.msg, cfg, &spec)
+        let base = build(&cfg, case.grid, case.msg, &spec)
             .map_err(|e| format!("baseline build failed: {e:?}"))?;
         verify_built(&base, &spec).map_err(|e| format!("baseline {e}"))?;
 
         // The failure-aware build must be just as correct.
-        let deg = build_mha_inter_degraded(case.grid, case.msg, cfg, &spec, &case.down)
+        let degraded = AlgoConfig {
+            down_rails: case.down.clone(),
+            ..cfg
+        };
+        let deg = build(&degraded, case.grid, case.msg, &spec)
             .map_err(|e| format!("degraded build failed: {e:?}"))?;
         verify_built(&deg, &spec).map_err(|e| format!("degraded {e}"))?;
 

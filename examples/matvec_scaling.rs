@@ -21,9 +21,13 @@ fn main() {
         cols: 80,
         grid: ProcGrid::new(2, 4),
     };
-    let built = mha::collectives::AllgatherAlgo::MhaInter(Default::default())
-        .build(small.grid, small.seg_bytes(), &spec)
-        .unwrap();
+    let built = mha::collectives::build(
+        &mha::collectives::AlgoConfig::default(),
+        small.grid,
+        small.seg_bytes(),
+        &spec,
+    )
+    .unwrap();
     let err = verify_matvec(small, &built).unwrap();
     println!("distributed matvec max |error| vs serial reference: {err:.2e}\n");
 

@@ -6,8 +6,8 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use mha::collectives::mha::{build_mha_inter, MhaInterConfig};
-use mha::collectives::Library;
+use mha::collectives::mha::MhaInterConfig;
+use mha::collectives::{build, AlgoConfig, Family, Library};
 use mha::exec::{verify_allgather, Mode};
 use mha::sched::ProcGrid;
 use mha::simnet::{ClusterSpec, Simulator};
@@ -19,9 +19,9 @@ fn main() {
     let spec = ClusterSpec::thor();
     let sim = Simulator::new(spec.clone()).expect("valid cluster spec");
 
-    // 1. Compile the collective to a schedule.
-    let mha = build_mha_inter(grid, msg, MhaInterConfig::default(), &spec)
-        .expect("buildable configuration");
+    // 1. Name the design point and compile it to a schedule.
+    let cfg = AlgoConfig::mha_inter(MhaInterConfig::default());
+    let mha = build(&cfg, grid, msg, &spec).expect("buildable configuration");
     println!(
         "built `{}`: {} ops, {} buffers",
         mha.sched.name(),
@@ -40,10 +40,11 @@ fn main() {
         .expect("correct Allgather semantics");
     println!("threaded execution verified MPI_Allgather semantics");
 
-    // 4. Price it on the simulated cluster, next to the baselines.
+    // 4. Price it on the simulated cluster, next to the baselines (each
+    //    library surrogate selects its own algorithm for this point).
     let t_mha = sim.run(&mha.sched).unwrap().latency_us();
     for lib in [Library::HpcX, Library::Mvapich2X] {
-        let built = lib.build_allgather(grid, msg, &spec).unwrap();
+        let built = build(&AlgoConfig::flat(Family::Library(lib)), grid, msg, &spec).unwrap();
         let t = sim.run(&built.sched).unwrap().latency_us();
         println!(
             "{:>11}: {:>10.1} us  (algorithm: {})",

@@ -6,7 +6,8 @@
 //! `d` is the rounded real solution, so the residual imbalance can never
 //! exceed half a chunk on each side — `0.5 · (T_C + T_H·L)`.
 
-use mha::collectives::mha::{build_mha_intra, optimal_offload, resolve_offload, Offload};
+use mha::collectives::mha::{optimal_offload, resolve_offload, Offload};
+use mha::collectives::{build, AlgoConfig};
 use mha::sched::ProcGrid;
 use mha::simnet::ClusterSpec;
 
@@ -51,8 +52,8 @@ fn built_schedule_offloads_exactly_d_transfers_per_rank() {
     for l in [2u32, 4, 8, 16] {
         for msg in [64 * 1024usize, 1 << 20] {
             let d = optimal_offload(&spec, l, msg);
-            let built =
-                build_mha_intra(ProcGrid::single_node(l), msg, Offload::Auto, &spec).unwrap();
+            let auto = AlgoConfig::mha_intra(Offload::Auto);
+            let built = build(&auto, ProcGrid::single_node(l), msg, &spec).unwrap();
             let stats = built.sched.stats();
             assert_eq!(
                 stats.rail_transfers,

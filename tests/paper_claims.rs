@@ -3,8 +3,8 @@
 //! quantitative comparison.
 
 use mha::apps::Contestant;
-use mha::collectives::mha::{build_mha_inter, InterAlgo, MhaInterConfig, Offload};
-use mha::collectives::{select_inter_algo, Library};
+use mha::collectives::mha::{InterAlgo, Offload};
+use mha::collectives::{build, select_inter_algo, AlgoConfig, Library};
 use mha::sched::ProcGrid;
 use mha::simnet::{pt2pt_bandwidth_mbps, pt2pt_latency_us, ClusterSpec, Placement, Simulator};
 
@@ -116,17 +116,12 @@ fn fig6_overlap_beats_sequential_phases() {
     let sim = Simulator::new(spec.clone()).unwrap();
     let grid = ProcGrid::new(8, 8);
     let msg = 128 * 1024;
-    let overlapped = build_mha_inter(grid, msg, MhaInterConfig::default(), &spec).unwrap();
-    let sequential = build_mha_inter(
-        grid,
-        msg,
-        MhaInterConfig {
-            overlap: false,
-            ..MhaInterConfig::default()
-        },
-        &spec,
-    )
-    .unwrap();
+    let overlapped = build(&AlgoConfig::default(), grid, msg, &spec).unwrap();
+    let sequential = AlgoConfig {
+        overlap: false,
+        ..AlgoConfig::default()
+    };
+    let sequential = build(&sequential, grid, msg, &spec).unwrap();
     let t_o = sim.run(&overlapped.sched).unwrap().latency_us();
     let t_s = sim.run(&sequential.sched).unwrap().latency_us();
     assert!(t_o < t_s * 0.95, "overlap {t_o} vs sequential {t_s}");
