@@ -1,4 +1,4 @@
-//! # mha-bench — Criterion benches and per-figure reproduction binaries
+//! # mha-bench — the campaign runner and per-figure reproduction binaries
 //!
 //! One binary per table/figure in the paper's evaluation (see DESIGN.md's
 //! experiment index): `cargo run --release -p mha-bench --bin fig11_intra_allgather`
@@ -19,12 +19,10 @@ use mha_simnet::Simulator;
 /// every simulated run is then audited by an
 /// [`mha_sched::InvariantProbe`] (causality, per-resource capacity, byte
 /// conservation) and panics on any violation. Implemented through
-/// [`mha_simnet::set_check_enabled`] — a thread-safe programmatic override
-/// of the `MHA_CHECK` environment variable, so it works regardless of when
-/// the env cache was first read.
+/// [`mha_simnet::set_check_enabled`], the process-wide check switch.
 pub fn apply_check_flag() {
     if std::env::args().any(|a| a == "--check") {
-        mha_simnet::set_check_enabled(Some(true));
+        mha_simnet::set_check_enabled(true);
         eprintln!("[--check: invariant probes active on every simulated run]");
     }
 }

@@ -1,17 +1,18 @@
-//! Records the incremental-allocator speedup as `results/BENCH_waterfill2.json`.
+//! Records the engine's speedup over the plain reference simulator as
+//! `results/BENCH_waterfill2.json`.
 //!
 //! Two measurements, both on flat `Ring` allgathers at 64 KiB per rank:
 //!
-//! 1. **flat_ring 8x16 speedup** — wall time per simulated run with the
-//!    incremental allocator (memoized component replay + keyed stale-event
-//!    cancellation) vs scratch mode (an [`EngineArena::reference`] arena:
-//!    every component re-solved, stale events popped and version-checked —
-//!    the faithful pre-overhaul engine). The two modes are bit-identical in
-//!    output; only speed differs.
-//! 2. **per-event cost scaling** — ns per processed event at 128→1024
-//!    nodes (ppn 1). The old engine's stale-event storm plus
-//!    recompute-from-scratch made this grow with topology size; the
-//!    overhaul targets flat (sub-linear) per-event cost.
+//! 1. **flat_ring 8x16 speedup** — wall time per simulated run of the
+//!    engine (memoized component replay, calendar queue with keyed
+//!    stale-event cancellation, argmin prediction scheduling) vs
+//!    [`ReferenceSim`] (every component re-solved, stale events popped
+//!    and version-checked). The two are bit-identical in output; only
+//!    speed differs.
+//! 2. **per-event cost scaling** — ns per processed engine event at
+//!    128→1024 nodes (ppn 1). A stale-event storm plus
+//!    recompute-from-scratch makes this grow with topology size; the
+//!    engine targets flat (sub-linear) per-event cost.
 //!
 //! Flags: `--assert-ratio <x>` fails (exit 1) if the 8x16 speedup is below
 //! `x` (CI smoke uses 2, locally 5 is expected); `--quick` shortens the
@@ -19,15 +20,16 @@
 
 use mha_bench::results_dir;
 use mha_collectives::{build, AlgoConfig, Family};
+use mha_conformance::ReferenceSim;
 use mha_sched::{FrozenSchedule, Probe, ProcGrid};
-use mha_simnet::{ClusterSpec, EngineArena, Simulator};
+use mha_simnet::{ClusterSpec, EngineArena, SimError, SimResult, Simulator};
 use std::fmt::Write as _;
 use std::time::Instant;
 
 /// Reference from the PR 1 trajectory (CHANGES.md): `simulate flat_ring
 /// 8x16` went 44.5 → 37.9 ms/run on that machine. Recorded for the
 /// trajectory plot; absolute times are hardware-dependent, so the asserted
-/// criterion is the in-process incremental-vs-scratch ratio.
+/// criterion is the in-process engine-vs-reference ratio.
 const PR1_FLAT_RING_8X16_MS: f64 = 37.9;
 
 #[derive(Default)]
@@ -45,14 +47,14 @@ impl Probe for WfStats {
     }
 }
 
-/// Mean wall seconds per run over a fixed timing window, through a warm
-/// `arena` (the campaign runner's hot path) in whichever mode it was built.
-fn time_runs(sim: &Simulator, sch: &FrozenSchedule, window: f64, mut arena: EngineArena) -> f64 {
-    sim.run_in(sch, &mut arena).unwrap(); // warm-up: allocations + memo
+/// Mean wall seconds per call of `run` over a fixed timing window, after
+/// one warm-up call.
+fn time_runs(window: f64, mut run: impl FnMut() -> Result<SimResult, SimError>) -> f64 {
+    run().unwrap();
     let t0 = Instant::now();
     let mut n = 0u32;
     loop {
-        std::hint::black_box(sim.run_in(sch, &mut arena).unwrap().makespan);
+        std::hint::black_box(run().unwrap().makespan);
         n += 1;
         if t0.elapsed().as_secs_f64() >= window {
             break;
@@ -89,7 +91,7 @@ fn main() {
         "  \"pr1_flat_ring_8x16_ms\": {PR1_FLAT_RING_8X16_MS},"
     );
 
-    // -- flat_ring 8x16: incremental vs scratch ---------------------------
+    // -- flat_ring 8x16: engine vs reference ------------------------------
     let grid = ProcGrid::new(8, 16);
     let ring = AlgoConfig::flat(Family::Ring);
     let built = build(&ring, grid, 64 * 1024, &spec).unwrap();
@@ -97,14 +99,17 @@ fn main() {
 
     let mut st = WfStats::default();
     let r = sim.run_probed(sch, &mut st).unwrap();
-    let inc = time_runs(&sim, sch, window, EngineArena::new());
-    let scratch = time_runs(&sim, sch, window, EngineArena::reference());
+    // The engine runs through a warm arena (the campaign runner's hot
+    // path: allocations and memo kept across runs).
+    let mut arena = EngineArena::new();
+    let engine = time_runs(window, || sim.run_in(sch, &mut arena));
+    let reference = time_runs(window, || ReferenceSim::new(&sim).run(sch));
 
-    let speedup = scratch / inc;
+    let speedup = reference / engine;
     println!(
-        "flat_ring 8x16: incremental {:.2} ms/run, scratch {:.2} ms/run, speedup {speedup:.2}x",
-        inc * 1e3,
-        scratch * 1e3
+        "flat_ring 8x16: engine {:.2} ms/run, reference {:.2} ms/run, speedup {speedup:.2}x",
+        engine * 1e3,
+        reference * 1e3
     );
     println!(
         "  events={}, recomputes={}, avg_comp={:.1} flows, levels touched/recompute={:.2}",
@@ -114,9 +119,13 @@ fn main() {
         st.touched as f64 / st.recomputes as f64
     );
     let _ = writeln!(json, "  \"flat_ring_8x16\": {{");
-    let _ = writeln!(json, "    \"incremental_ms_per_run\": {:.4},", inc * 1e3);
-    let _ = writeln!(json, "    \"scratch_ms_per_run\": {:.4},", scratch * 1e3);
-    let _ = writeln!(json, "    \"speedup_vs_scratch\": {speedup:.3},");
+    let _ = writeln!(json, "    \"engine_ms_per_run\": {:.4},", engine * 1e3);
+    let _ = writeln!(
+        json,
+        "    \"reference_ms_per_run\": {:.4},",
+        reference * 1e3
+    );
+    let _ = writeln!(json, "    \"speedup_vs_reference\": {speedup:.3},");
     let _ = writeln!(json, "    \"events\": {},", r.events);
     let _ = writeln!(json, "    \"waterfill_recomputes\": {},", st.recomputes);
     let _ = writeln!(
@@ -135,7 +144,8 @@ fn main() {
         let built = build(&ring, grid, 64 * 1024, &spec).unwrap();
         let sch: &FrozenSchedule = &built.sched;
         let events = sim.run(sch).unwrap().events;
-        let per_run = time_runs(&sim, sch, window.min(0.5) * 2.0, EngineArena::new());
+        let mut arena = EngineArena::new();
+        let per_run = time_runs(window.min(0.5) * 2.0, || sim.run_in(sch, &mut arena));
         let ns = per_run / events as f64 * 1e9;
         per_event_ns.push(ns);
         println!(

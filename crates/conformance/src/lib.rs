@@ -6,8 +6,9 @@
 //!
 //! 1. **Invariant probes** ([`mha_sched::InvariantProbe`], wired into the
 //!    discrete-event engine): per-op causality, per-resource capacity and
-//!    per-flow byte conservation, audited on every simulated run when
-//!    `MHA_CHECK` is set (every `fig*` binary's `--check` flag).
+//!    per-flow byte conservation, audited on every simulated run while
+//!    check mode is on ([`mha_simnet::set_check_enabled`]; every `fig*`
+//!    binary's `--check` flag).
 //! 2. **A three-way differential oracle** ([`oracle`]): random
 //!    configurations across the flat / two-level / MHA collective families,
 //!    each cross-checked between the threaded executor (real bytes, MPI
@@ -28,6 +29,8 @@
 //! [`Oracle`] impl driven by the one pooled [`runner::run`]: cases are
 //! pre-sampled serially from one seeded RNG, checked across the campaign
 //! worker pool, and reported in case order with summed [`Tally`]s.
+//! The [`waterfill`] oracle differences the simulator's engine against
+//! [`ReferenceSim`], a deliberately plain push-per-change simulator.
 //!
 //! Run everything with `cargo test -p mha-conformance`. The library reads
 //! no environment; the test entry points do, through one strict reader (a
@@ -62,6 +65,7 @@ pub mod crash;
 pub mod faults;
 pub mod fuzz;
 pub mod oracle;
+pub mod reference;
 pub mod runner;
 pub mod traffic;
 pub mod tuned;
@@ -73,6 +77,7 @@ pub use crash::{CrashCase, CrashOracle};
 pub use faults::{FaultCase, FaultOracle};
 pub use fuzz::{judge, seeded_mutants, shrink, FuzzTarget, Mutation, SchedSpec, Verdict};
 pub use oracle::{check_model_envelope, DifferentialOracle};
+pub use reference::ReferenceSim;
 pub use runner::{run, Disagreement, Oracle, Report, Tally};
 pub use traffic::{TrafficCase, TrafficOracle};
 pub use tuned::TunedOracle;

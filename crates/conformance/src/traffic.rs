@@ -34,7 +34,7 @@ use crate::runner::{Oracle, Tally};
 /// The tenant oracle.
 ///
 /// Its bars need the engine's invariant audit armed
-/// (`mha_simnet::set_check_enabled(Some(true))`) so a violation panics the
+/// (`mha_simnet::set_check_enabled(true)`) so a violation panics the
 /// case; [`Oracle::check`] fails every case while the audit is off.
 #[derive(Debug, Clone)]
 pub struct TrafficOracle;
@@ -256,7 +256,7 @@ mod tests {
 
     #[test]
     fn a_disjoint_case_isolates_bitwise() {
-        mha_simnet::set_check_enabled(Some(true));
+        mha_simnet::set_check_enabled(true);
         let mut rng = StdRng::seed_from_u64(3);
         let case = TrafficOracle.sample(&mut rng, 0);
         assert!(case.disjoint);
@@ -265,7 +265,7 @@ mod tests {
 
     #[test]
     fn a_contended_case_stays_within_capacity() {
-        mha_simnet::set_check_enabled(Some(true));
+        mha_simnet::set_check_enabled(true);
         let mut rng = StdRng::seed_from_u64(4);
         let case = TrafficOracle.sample(&mut rng, 1);
         assert!(!case.disjoint);

@@ -1,24 +1,24 @@
-//! The incremental-vs-scratch water-fill equivalence oracle.
+//! The engine-vs-reference water-fill equivalence oracle.
 //!
-//! The incremental engine (calendar event queue, keyed memo, argmin
-//! prediction scheduling) is documented to be *bit-identical* to the
-//! scratch reference engine (binary heap, re-solve every component) on
-//! every observable: makespan, per-op completion times, event count and
-//! per-resource byte totals. This oracle enforces that claim over random
-//! collective schedules from all four case families — with a slice of the
-//! sweep run under random rail-fault timelines so the stall/retry paths
-//! are differenced too.
+//! The engine (calendar event queue, keyed memo, argmin prediction
+//! scheduling) is documented to be *bit-identical* to the plain
+//! [`ReferenceSim`] (binary heap, one `Finish` per rate change, re-solve
+//! every component) on every observable: makespan, per-op completion
+//! times, event count and per-resource byte totals. This oracle enforces
+//! that claim over random collective schedules from all four case
+//! families — with a slice of the sweep run under random rail-fault
+//! timelines so the stall/retry paths are differenced too.
 
 use mha_simnet::{ClusterSpec, EngineArena, FaultSpec, SimResult, Simulator};
 use rand::{rngs::StdRng, Rng};
 
 use crate::cases::{sample_case, Case, Family};
+use crate::reference::ReferenceSim;
 use crate::runner::{Oracle, Tally};
 
-/// The equivalence oracle: each case is simulated through a default
-/// (incremental) [`EngineArena`] and a [`EngineArena::reference`] one, and
-/// every observable is compared bit for bit. The mode is fixed per arena,
-/// so cases run concurrently on the campaign pool.
+/// The equivalence oracle: each case is simulated through the engine (a
+/// default [`EngineArena`]) and through [`ReferenceSim`], and every
+/// observable is compared bit for bit.
 #[derive(Debug, Clone)]
 pub struct WaterfillOracle;
 
@@ -45,14 +45,14 @@ impl Oracle for WaterfillOracle {
             None => Simulator::new(spec),
         }
         .map_err(|e| format!("simulator: {e}"))?;
-        let inc = sim.run_in(&built.sched, &mut EngineArena::new());
-        let scr = sim.run_in(&built.sched, &mut EngineArena::reference());
-        match (inc, scr) {
-            (Ok(inc), Ok(scr)) => diff(&inc, &scr).map_or(Ok(()), Err)?,
+        let engine = sim.run_in(&built.sched, &mut EngineArena::new());
+        let reference = ReferenceSim::new(&sim).run(&built.sched);
+        match (engine, reference) {
+            (Ok(e), Ok(r)) => bit_diff(&e, &r).map_or(Ok(()), Err)?,
             (Err(_), Err(_)) => {}
-            (inc, scr) => {
-                let (i, s) = (inc.err(), scr.err());
-                return Err(format!("one engine errored ({i:?} vs {s:?})"));
+            (e, r) => {
+                let (e, r) = (e.err(), r.err());
+                return Err(format!("one simulator errored ({e:?} vs {r:?})"));
             }
         }
         Ok(Tally {
@@ -67,11 +67,13 @@ impl Oracle for WaterfillOracle {
     }
 }
 
-/// First bitwise difference between the two engines' results, if any.
-fn diff(inc: &SimResult, scr: &SimResult) -> Option<String> {
-    if inc.events != scr.events {
-        let (a, b) = (inc.events, scr.events);
-        return Some(format!("event count {a} (inc) vs {b} (scratch)"));
+/// The first bitwise difference between an engine result and a reference
+/// result — event count, makespan, `op_end`, `resource_bytes`, in that
+/// order — or `None` when they agree bit for bit.
+pub fn bit_diff(engine: &SimResult, reference: &SimResult) -> Option<String> {
+    if engine.events != reference.events {
+        let (a, b) = (engine.events, reference.events);
+        return Some(format!("event count {a} (engine) vs {b} (reference)"));
     }
     let first = |name: &str, a: &[f64], b: &[f64]| {
         if a.len() != b.len() {
@@ -81,11 +83,20 @@ fn diff(inc: &SimResult, scr: &SimResult) -> Option<String> {
             .iter()
             .zip(b)
             .position(|(x, y)| x.to_bits() != y.to_bits())?;
-        Some(format!("{name}[{i}] {} (inc) vs {} (scratch)", a[i], b[i]))
+        Some(format!(
+            "{name}[{i}] {} (engine) vs {} (reference)",
+            a[i], b[i]
+        ))
     };
-    first("makespan", &[inc.makespan], &[scr.makespan])
-        .or_else(|| first("op_end", &inc.op_end, &scr.op_end))
-        .or_else(|| first("resource_bytes", &inc.resource_bytes, &scr.resource_bytes))
+    first("makespan", &[engine.makespan], &[reference.makespan])
+        .or_else(|| first("op_end", &engine.op_end, &reference.op_end))
+        .or_else(|| {
+            first(
+                "resource_bytes",
+                &engine.resource_bytes,
+                &reference.resource_bytes,
+            )
+        })
 }
 
 /// A random fault timeline against a `rails`-rail cluster: one rail goes

@@ -18,8 +18,8 @@ fn traffic_oracle_sweep_has_zero_disagreements() {
     assert!(cases >= 100, "acceptance bar requires >= 100 cases");
     let seed = knob("MHA_TRAFFIC_SEED", 0x7EA7);
     // Arm the invariant audit for the sweep: a violation panics its case.
-    mha_simnet::set_check_enabled(Some(true));
+    mha_simnet::set_check_enabled(true);
     let report = run(&TrafficOracle, cases, seed, &CampaignConfig::from_env());
-    mha_simnet::set_check_enabled(None);
+    mha_simnet::set_check_enabled(false);
     report.assert_clean();
 }

@@ -21,8 +21,8 @@
 //! bucket's front entry if it belongs to the current (or an earlier) cell.
 //! Because `cell(t)` is monotone in `t` and pushes behind the cursor
 //! rewind it, pops come out in exactly the total order `(time, seq)` — the
-//! same order the `BinaryHeap` it replaces produced, so the swap cannot
-//! perturb the simulation. Bucket geometry (count, width) only ever
+//! same order a binary heap keyed on `(time, seq)` produces, so the queue
+//! cannot perturb the simulation. Bucket geometry (count, width) only ever
 //! affects speed, never order.
 //!
 //! Typical costs: O(1) push, O(1) pop, O(bucket occupancy) keyed delete.
@@ -327,8 +327,6 @@ impl<T> CalendarQueue<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
 
     fn xorshift(seed: &mut u64) -> u64 {
         *seed ^= *seed << 13;
@@ -337,14 +335,21 @@ mod tests {
         *seed
     }
 
-    /// Random interleaved pushes and pops must come out in exactly the
-    /// order a binary heap produces.
+    /// Pops the smallest `(time bits, seq)` key of an unordered model.
+    fn pop_min(model: &mut Vec<(u64, u64)>) -> Option<(u64, u64)> {
+        let i = (0..model.len()).min_by_key(|&i| model[i])?;
+        Some(model.swap_remove(i))
+    }
+
+    /// Random interleaved pushes and pops must come out in exactly
+    /// `(time, seq)` order — checked against a min-scan over an unordered
+    /// model.
     #[test]
-    fn matches_binary_heap_order() {
+    fn matches_time_seq_order_under_random_interleaving() {
         let mut seed = 0x1234_5678_9abc_def0u64;
         for round in 0..50 {
             let mut cal = CalendarQueue::new();
-            let mut heap: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
+            let mut model: Vec<(u64, u64)> = Vec::new();
             let mut seq = 0u64;
             let mut now = 0.0f64;
             for _ in 0..400 {
@@ -355,13 +360,13 @@ mod tests {
                     let t = now + (xorshift(&mut seed) % 1000) as f64 * 1e-9 * scale;
                     seq += 1;
                     cal.push(t, seq, seq);
-                    heap.push(Reverse((t.to_bits(), seq)));
+                    model.push((t.to_bits(), seq));
                 }
                 if !xorshift(&mut seed).is_multiple_of(3) {
                     let got = cal.pop();
-                    let want = heap.pop();
+                    let want = pop_min(&mut model);
                     match (got, want) {
-                        (Some((t, s, item)), Some(Reverse((tb, sb)))) => {
+                        (Some((t, s, item)), Some((tb, sb))) => {
                             assert_eq!(t.to_bits(), tb, "round {round}");
                             assert_eq!(s, sb, "round {round}");
                             assert_eq!(item, s);
@@ -372,7 +377,7 @@ mod tests {
                     }
                 }
             }
-            while let Some(Reverse((tb, sb))) = heap.pop() {
+            while let Some((tb, sb)) = pop_min(&mut model) {
                 let (t, s, _) = cal.pop().expect("calendar ran dry early");
                 assert_eq!((t.to_bits(), s), (tb, sb));
             }

@@ -35,6 +35,7 @@
 #![warn(missing_docs)]
 
 mod calendar;
+mod cost;
 mod engine;
 mod fault;
 mod metrics;
@@ -45,8 +46,10 @@ mod topology;
 mod trace;
 mod waterfill;
 
+pub use cost::{CostModel, FlowPlan, RailRoute};
 pub use engine::{
     check_enabled, set_check_enabled, EngineArena, SimConfig, SimError, SimResult, Simulator,
+    RATE_EPS,
 };
 pub use fault::{FaultEvent, FaultKind, FaultSpec, DEFAULT_RETRY_TIMEOUT};
 pub use metrics::{kind_breakdown, phase_breakdown, KindBreakdown};

@@ -20,11 +20,12 @@
 //!   function of the component it is handed: the flow caps, the weights,
 //!   the resources in first-appearance order, and their capacities. That
 //!   purity is what makes the second allocator possible.
-//! * [`IncrementalFiller`] — the engine's allocator. It canonicalizes the
-//!   component into a bit-exact descriptor and replays memoized solutions:
-//!   schedules are overwhelmingly self-similar (a ring step re-creates the
-//!   same contention pattern thousands of times), so steady state is a
-//!   hash probe plus a copy instead of a fill. On a miss it defers to the
+//! * [`IncrementalFiller`] — the engine's allocator. It replays memoized
+//!   solutions under a bit-exact descriptor of the component, which the
+//!   engine assembles during its component traversal: schedules are
+//!   overwhelmingly self-similar (a ring step re-creates the same
+//!   contention pattern thousands of times), so steady state is a hash
+//!   probe plus a copy instead of a fill. On a miss it defers to the
 //!   reference filler and memoizes. It also tracks persistent per-resource
 //!   saturation levels across events, so every recompute reports how many
 //!   resources' bottleneck level actually moved ("touched") — the
@@ -414,9 +415,9 @@ impl std::hash::Hasher for Fnv {
 
 /// One memoized solution: rates per flow and saturation level per real
 /// resource, both in component order, plus each level's caller-local
-/// resource index (used by [`IncrementalFiller::fill_keyed`] to map the
-/// levels back onto the *current* occurrence's global resources —
-/// distinct components share cache entries whenever their shapes match).
+/// resource index (used to map the levels back onto the *current*
+/// occurrence's global resources — distinct components share cache
+/// entries whenever their shapes match).
 #[derive(Debug)]
 struct CacheEntry {
     rates: Box<[f64]>,
@@ -447,34 +448,26 @@ pub struct FillStats {
 /// Wraps the reference [`WaterFiller`] with two structures that live
 /// *across* events:
 ///
-/// * a **memo cache** keyed by the component's canonical descriptor — for
-///   each flow in component order its cap bits and `(first-appearance
-///   resource index, weight bits)` pairs, then each distinct resource's
-///   effective-capacity bits. The reference filler's output is a pure
-///   function of exactly this data (it queries capacities once, at first
-///   appearance, and orders its internal tables the same way), so
+/// * a **memo cache** keyed by the component's canonical descriptor (see
+///   [`IncrementalFiller::fill_keyed`]). The reference filler's output is
+///   a pure function of exactly that data (it queries capacities once, at
+///   first appearance, and orders its internal tables the same way), so
 ///   replaying a memoized solution is bit-identical to re-solving.
 /// * a **persistent per-resource saturation level** array, compared
 ///   bit-wise after every fill to count how many resources' bottleneck
 ///   level actually moved — the `touched` count surfaced through
 ///   [`mha_sched::Probe::waterfill`].
 ///
-/// Both caches are behavior-invisible by construction: disabling them
-/// (an arena built with [`crate::EngineArena::reference`]) changes only
-/// speed. The conformance waterfill oracle asserts exactly that.
+/// Both caches are behavior-invisible by construction: they change only
+/// speed. The conformance waterfill oracle differences the engine against
+/// a reference simulator that solves every component with a plain
+/// [`WaterFiller`].
 #[derive(Debug, Default)]
 pub struct IncrementalFiller {
     scratch: WaterFiller,
     /// Persistent saturation level per global resource (`INFINITY` =
     /// unsaturated), compared bit-wise to produce `touched` counts.
     levels: Vec<f64>,
-    // Epoch-stamped global→component-local resource numbering, rebuilt
-    // per fill in O(component).
-    lstamp: Vec<u64>,
-    lidx: Vec<u32>,
-    lres: Vec<u32>,
-    epoch: u64,
-    key: Vec<u64>,
     cache: HashMap<Box<[u64]>, CacheEntry, BuildHasherDefault<Fnv>>,
     stats: FillStats,
 }
@@ -497,123 +490,24 @@ impl IncrementalFiller {
     pub fn reset(&mut self, n_res: usize) {
         self.levels.clear();
         self.levels.resize(n_res, f64::INFINITY);
-        if self.lstamp.len() < n_res {
-            self.lstamp.resize(n_res, 0);
-            self.lidx.resize(n_res, 0);
-        }
     }
 
     /// Computes max-min rates for a component presented as a view (same
-    /// contract as [`WaterFiller::fill_with`]). Returns the number of
+    /// contract as [`WaterFiller::fill_with`]), memoized under a
+    /// *caller-prebuilt* canonical descriptor. Returns the number of
     /// component resources whose persistent saturation level changed.
     ///
-    /// With `use_memo` false this is exactly the reference filler (plus
-    /// level tracking) — the differential-testing baseline.
-    pub fn fill_view<'a>(
-        &mut self,
-        n: usize,
-        mut flow: impl FnMut(usize) -> FlowSpec<'a>,
-        mut capacity: impl FnMut(ResourceId) -> f64,
-        rates: &mut Vec<f64>,
-        use_memo: bool,
-    ) -> Result<usize, FillError> {
-        if n == 0 {
-            rates.clear();
-            return Ok(0);
-        }
-        if !use_memo || n > MEMO_MAX_FLOWS {
-            self.scratch.fill_with(n, &mut flow, &mut capacity, rates)?;
-            return Ok(self.absorb_scratch_levels());
-        }
-
-        // Canonical descriptor: flows in order (cap bits, degree, then
-        // (local resource index, weight bits) pairs), then each distinct
-        // resource's effective capacity bits in first-appearance order —
-        // precisely the inputs the reference fill consumes.
-        self.epoch += 1;
-        self.key.clear();
-        self.lres.clear();
-        self.key.push(n as u64);
-        for fi in 0..n {
-            let f = flow(fi);
-            self.key.push(f.cap.to_bits());
-            self.key.push(f.resources.len() as u64);
-            for &(r, w) in f.resources {
-                let gi = r.index();
-                if gi >= self.lstamp.len() {
-                    self.lstamp.resize(gi + 1, 0);
-                    self.lidx.resize(gi + 1, 0);
-                }
-                let li = if self.lstamp[gi] == self.epoch {
-                    self.lidx[gi]
-                } else {
-                    self.lstamp[gi] = self.epoch;
-                    let li = self.lres.len() as u32;
-                    self.lidx[gi] = li;
-                    self.lres.push(r.0);
-                    li
-                };
-                self.key.push(u64::from(li));
-                self.key.push(w.to_bits());
-            }
-        }
-        for &g in &self.lres {
-            self.key.push(capacity(ResourceId(g)).to_bits());
-        }
-
-        if let Some(entry) = self.cache.get(self.key.as_slice()) {
-            // Replay. The stored key was compared word-for-word by the
-            // map, so this cannot be a hash collision.
-            self.stats.hits += 1;
-            rates.clear();
-            rates.extend_from_slice(&entry.rates);
-            let mut touched = 0;
-            for (k, &g) in self.lres.iter().enumerate() {
-                let new = entry.levels[k];
-                let slot = &mut self.levels[g as usize];
-                if slot.to_bits() != new.to_bits() {
-                    *slot = new;
-                    touched += 1;
-                }
-            }
-            return Ok(touched);
-        }
-
-        self.scratch.fill_with(n, &mut flow, &mut capacity, rates)?;
-        self.stats.misses += 1;
-        debug_assert_eq!(self.scratch.local_resources().len(), self.lres.len());
-        if self.cache.len() >= MEMO_CAP {
-            self.cache.clear();
-            self.stats.flushes += 1;
-        }
-        self.cache.insert(
-            self.key.clone().into_boxed_slice(),
-            CacheEntry {
-                rates: rates.as_slice().into(),
-                levels: self.scratch.levels().into(),
-                lidx: (0..self.lres.len() as u32).collect(),
-            },
-        );
-        Ok(self.absorb_scratch_levels())
-    }
-
-    /// Memoized fill over a *caller-prebuilt* canonical descriptor — the
-    /// engine's hot path. The simulation engine assembles `key` during its
-    /// component DFS (it is touching every flow and resource anyway), so a
-    /// memo hit costs one hash probe plus a replay, with no second
-    /// traversal to canonicalize the component.
+    /// The simulation engine assembles `key` during its component DFS (it
+    /// is touching every flow and resource anyway), so a memo hit costs
+    /// one hash probe plus a replay, with no second traversal to
+    /// canonicalize the component.
     ///
     /// `key` must uniquely encode `(n, per-flow cap bits / degree /
     /// (local-resource index, weight bits) pairs, per-local-resource
-    /// effective capacity bits)` under a caller-chosen local numbering;
-    /// `lidx_of(r)` maps a global resource to that numbering and
-    /// `ids_of(li)` back to the *current* occurrence's global resource.
-    /// Touched-level semantics are identical to
-    /// [`IncrementalFiller::fill_view`].
-    ///
-    /// Keys from this entry point and from [`IncrementalFiller::fill_view`]
-    /// use different local numberings, so a single instance must stick to
-    /// one of the two memoized entry points.
+    /// effective capacity bits)` under a caller-chosen local numbering —
+    /// the same numbering for every call on one instance; `lidx_of(r)`
+    /// maps a global resource to that numbering and `ids_of(li)` back to
+    /// the *current* occurrence's global resource.
     #[allow(clippy::too_many_arguments)] // mirrors the key layout, item by item
     pub fn fill_keyed<'a>(
         &mut self,
@@ -712,6 +606,38 @@ mod tests {
 
     fn unit(rs: &[ResourceId]) -> Vec<(ResourceId, f64)> {
         rs.iter().map(|&r| (r, 1.0)).collect()
+    }
+
+    /// [`IncrementalFiller::fill_keyed`] over `flows` under the canonical
+    /// key, resources numbered in first-appearance order.
+    fn keyed(
+        inc: &mut IncrementalFiller,
+        flows: &[FlowSpec<'_>],
+        capacity: impl Fn(ResourceId) -> f64,
+        rates: &mut Vec<f64>,
+    ) -> Result<usize, FillError> {
+        let mut ids: Vec<ResourceId> = Vec::new();
+        let mut key = vec![flows.len() as u64];
+        for f in flows {
+            key.extend([f.cap.to_bits(), f.resources.len() as u64]);
+            for &(r, w) in f.resources {
+                if !ids.contains(&r) {
+                    ids.push(r);
+                }
+                let li = ids.iter().position(|&x| x == r).unwrap();
+                key.extend([li as u64, w.to_bits()]);
+            }
+        }
+        key.extend(ids.iter().map(|&r| capacity(r).to_bits()));
+        inc.fill_keyed(
+            &key,
+            flows.len(),
+            |i| flows[i],
+            &capacity,
+            |r| ids.iter().position(|&x| x == r).unwrap() as u32,
+            |li| ids[li as usize],
+            rates,
+        )
     }
 
     #[test]
@@ -1062,24 +988,10 @@ mod tests {
         let mut inc = IncrementalFiller::new();
         inc.reset(3);
         let mut miss_rates = Vec::new();
-        inc.fill_view(
-            flows.len(),
-            |i| flows[i],
-            |r| caps[r.index()],
-            &mut miss_rates,
-            true,
-        )
-        .unwrap();
+        keyed(&mut inc, &flows, |r| caps[r.index()], &mut miss_rates).unwrap();
         assert_eq!(inc.stats().misses, 1);
         let mut hit_rates = Vec::new();
-        inc.fill_view(
-            flows.len(),
-            |i| flows[i],
-            |r| caps[r.index()],
-            &mut hit_rates,
-            true,
-        )
-        .unwrap();
+        keyed(&mut inc, &flows, |r| caps[r.index()], &mut hit_rates).unwrap();
         assert_eq!(inc.stats().hits, 1);
         let reference = max_min_rates(&flows, cap_table(&caps));
         for (got, want) in miss_rates.iter().zip(&reference) {
@@ -1102,19 +1014,13 @@ mod tests {
         let mut inc = IncrementalFiller::new();
         inc.reset(1);
         let mut rates = Vec::new();
-        let t1 = inc
-            .fill_view(2, |i| flows[i], |_| 10.0, &mut rates, true)
-            .unwrap();
+        let t1 = keyed(&mut inc, &flows, |_| 10.0, &mut rates).unwrap();
         assert_eq!(t1, 1, "R0 saturates, its level moves");
-        let t2 = inc
-            .fill_view(2, |i| flows[i], |_| 10.0, &mut rates, true)
-            .unwrap();
+        let t2 = keyed(&mut inc, &flows, |_| 10.0, &mut rates).unwrap();
         assert_eq!(t2, 0, "identical refill touches nothing");
         // A capacity change (fault rescale) moves it again — and misses
         // the memo, because capacity bits are part of the descriptor.
-        let t3 = inc
-            .fill_view(2, |i| flows[i], |_| 5.0, &mut rates, true)
-            .unwrap();
+        let t3 = keyed(&mut inc, &flows, |_| 5.0, &mut rates).unwrap();
         assert_eq!(t3, 1);
         assert_eq!(inc.stats().misses, 2);
     }
@@ -1129,29 +1035,17 @@ mod tests {
         let mut inc = IncrementalFiller::new();
         inc.reset(2);
         let mut rates = Vec::new();
-        inc.fill_view(
-            2,
-            |i| FlowSpec {
-                cap: 100.0,
-                resources: &shared[i],
-            },
-            |_| 10.0,
-            &mut rates,
-            true,
-        )
-        .unwrap();
+        fn specs(sets: &[Vec<(ResourceId, f64)>; 2]) -> Vec<FlowSpec<'_>> {
+            sets.iter()
+                .map(|rs| FlowSpec {
+                    cap: 100.0,
+                    resources: rs,
+                })
+                .collect()
+        }
+        keyed(&mut inc, &specs(&shared), |_| 10.0, &mut rates).unwrap();
         assert!((rates[0] - 5.0).abs() < 1e-9, "{rates:?}");
-        inc.fill_view(
-            2,
-            |i| FlowSpec {
-                cap: 100.0,
-                resources: &distinct[i],
-            },
-            |_| 10.0,
-            &mut rates,
-            true,
-        )
-        .unwrap();
+        keyed(&mut inc, &specs(&distinct), |_| 10.0, &mut rates).unwrap();
         assert!((rates[0] - 10.0).abs() < 1e-9, "{rates:?}");
         assert_eq!(inc.stats().hits, 0);
         assert_eq!(inc.stats().misses, 2);

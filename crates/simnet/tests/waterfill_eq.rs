@@ -1,12 +1,13 @@
-//! Differential tests pinning the incremental water-filler to the scratch
-//! reference solver, bit for bit.
+//! Differential tests pinning the engine's memoized water-filler
+//! ([`IncrementalFiller::fill_keyed`]) to the from-scratch reference
+//! solver, bit for bit.
 //!
-//! The incremental engine's whole correctness argument rests on one
-//! invariant: a memoized replay returns *exactly* the floats the reference
-//! `fill_with` would compute for the same component. These tests attack
-//! that invariant with seeded random components (including shapes that
-//! collide in the memo on purpose), EPS-boundary near-ties, and
-//! state-leakage probes across interleaved components and runs.
+//! The engine's whole memo argument rests on one invariant: a memoized
+//! replay returns *exactly* the floats the reference `fill_with` would
+//! compute for the same component. These tests attack that invariant with
+//! seeded random components (including shapes that collide in the memo on
+//! purpose), EPS-boundary near-ties, and state-leakage probes across
+//! interleaved components and runs.
 
 use mha_simnet::{FlowSpec, IncrementalFiller, ResourceId, WaterFiller};
 
@@ -101,6 +102,44 @@ fn scratch_rates(c: &Component) -> Vec<f64> {
     rates
 }
 
+/// Fills `flows` through `inc`'s memo the way the engine does: the caller
+/// builds the canonical key under its own local resource numbering —
+/// here ascending global id, deliberately not the solver's
+/// first-appearance order, so replays must map levels back through
+/// `lidx_of`/`ids_of`.
+fn fill_keyed(
+    inc: &mut IncrementalFiller,
+    flows: &[FlowSpec<'_>],
+    capacity: impl Fn(ResourceId) -> f64,
+    rates: &mut Vec<f64>,
+) {
+    let mut ids: Vec<ResourceId> = flows
+        .iter()
+        .flat_map(|f| f.resources.iter().map(|&(r, _)| r))
+        .collect();
+    ids.sort();
+    ids.dedup();
+    let lidx = |r: ResourceId| ids.binary_search(&r).unwrap() as u32;
+    let mut key = vec![flows.len() as u64];
+    for f in flows {
+        key.extend([f.cap.to_bits(), f.resources.len() as u64]);
+        for &(r, w) in f.resources {
+            key.extend([u64::from(lidx(r)), w.to_bits()]);
+        }
+    }
+    key.extend(ids.iter().map(|&r| capacity(r).to_bits()));
+    inc.fill_keyed(
+        &key,
+        flows.len(),
+        |i| flows[i],
+        &capacity,
+        lidx,
+        |li| ids[li as usize],
+        rates,
+    )
+    .unwrap();
+}
+
 fn assert_rates_eq(a: &[f64], b: &[f64], what: &str) {
     assert_eq!(a.len(), b.len(), "{what}: flow count");
     for (i, (x, y)) in a.iter().zip(b).enumerate() {
@@ -121,15 +160,7 @@ fn five_hundred_random_components_match_scratch_bit_for_bit() {
         let c = Component::random(&mut rng);
         let want = scratch_rates(&c);
         for pass in 0..2 {
-            let specs = c.specs();
-            inc.fill_view(
-                specs.len(),
-                |i| specs[i],
-                |r| c.capacity(r),
-                &mut rates,
-                true,
-            )
-            .unwrap();
+            fill_keyed(&mut inc, &c.specs(), |r| c.capacity(r), &mut rates);
             assert_rates_eq(&rates, &want, &format!("case {case} pass {pass}"));
         }
     }
@@ -186,8 +217,7 @@ fn eps_boundary_ties_are_deterministic() {
         inc.reset(2);
         for pass in 0..2 {
             let mut rates = Vec::new();
-            inc.fill_view(flows.len(), |i| flows[i], capacity, &mut rates, true)
-                .unwrap();
+            fill_keyed(&mut inc, &flows, capacity, &mut rates);
             assert_rates_eq(&rates, &reference, &format!("delta {delta:e} memo {pass}"));
         }
         // Total allocation never exceeds the tighter capacity by more than
@@ -215,15 +245,7 @@ fn no_state_leaks_across_interleaved_components_and_resets() {
     for round in 0..2 {
         for &ci in &order {
             let c = &components[ci];
-            let specs = c.specs();
-            inc.fill_view(
-                specs.len(),
-                |i| specs[i],
-                |r| c.capacity(r),
-                &mut rates,
-                true,
-            )
-            .unwrap();
+            fill_keyed(&mut inc, &c.specs(), |r| c.capacity(r), &mut rates);
             assert_rates_eq(&rates, &want[ci], &format!("round {round} component {ci}"));
         }
         inc.reset(16);
