@@ -1,8 +1,8 @@
 //! # mha-apps — application-level workloads (paper Section 5)
 //!
-//! * [`osu`] — the OSU-micro-benchmark-style sweep driver: Allgather and
-//!   Allreduce latency tables over the HPC-X / MVAPICH2-X surrogates and
-//!   the tuned MHA design (Figures 11–15).
+//! * [`osu`] — the OSU-micro-benchmark-style contestants: Allgather and
+//!   Allreduce latencies of the HPC-X / MVAPICH2-X surrogates and the tuned
+//!   MHA design (Figures 11–15; `mha_bench::campaign` sweeps them).
 //! * [`matvec`] — the 1-D row-partitioned matrix–vector kernel of
 //!   Section 5.5 (Figure 16), with a real-data numerical verification of
 //!   the distributed algorithm.
@@ -21,4 +21,4 @@ pub mod matvec;
 pub mod osu;
 pub mod report;
 
-pub use osu::{allgather_sweep, allreduce_sweep, paper_contestants, AppError, Contestant};
+pub use osu::{paper_contestants, AppError, Contestant};

@@ -100,7 +100,7 @@ pub fn run_matvec(
 /// GEMV on the gathered vector, and compares the assembled `y` against a
 /// serial reference. Returns the max absolute error.
 pub fn verify_matvec(cfg: MatvecConfig, built: &Built) -> Result<f64, String> {
-    use mha_exec::{run_threaded, BufferStore};
+    use mha_exec::{run, BufferStore, Mode};
     let r = cfg.grid.nranks() as usize;
     let seg = cfg.seg_bytes() / 8; // elements per padded segment
     let cols_padded = seg * r;
@@ -124,7 +124,7 @@ pub fn verify_matvec(cfg: MatvecConfig, built: &Built) -> Result<f64, String> {
         let bytes: Vec<u8> = seg_vals.iter().flat_map(|v| v.to_ne_bytes()).collect();
         store.fill(buf, 0, &bytes);
     }
-    run_threaded(&built.sched, &store, 4).map_err(|e| e.to_string())?;
+    run(&built.sched, &store, Mode::Threaded(4)).map_err(|e| e.to_string())?;
 
     // Each rank computes its row block from its own gathered copy of x.
     let rows_per = cfg.rows.div_ceil(r);

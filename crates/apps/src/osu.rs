@@ -1,9 +1,11 @@
-//! OSU-micro-benchmark-style sweep driver over the simulator.
+//! OSU-micro-benchmark-style contestants over the simulator.
 //!
 //! The paper reports `osu_allgather` / `osu_allreduce` latencies averaged
 //! over ≥ 3 runs of 1000 iterations (Section 5.1); the simulator is
-//! deterministic, so one virtual iteration *is* the converged average —
-//! the driver keeps the same sweep structure and reporting format.
+//! deterministic, so one virtual iteration *is* the converged average.
+//! The sweeps themselves (one table row per size, one column per
+//! contestant) are `mha_bench::campaign::{allgather_sweep,
+//! allreduce_sweep}`.
 
 use mha_collectives::mha::{MhaInterConfig, Offload};
 use mha_collectives::{
@@ -13,9 +15,7 @@ use mha_collectives::{
 use mha_sched::ProcGrid;
 use mha_simnet::{ClusterSpec, SimError, Simulator};
 
-use crate::report::{fmt_bytes, Table};
-
-/// An error from a sweep.
+/// An error from building or pricing a contestant.
 #[derive(Debug)]
 pub enum AppError {
     /// A collective failed to build.
@@ -146,56 +146,6 @@ impl Contestant {
     }
 }
 
-/// Sweeps `osu_allgather` over `sizes` for each contestant; returns a
-/// table of latencies in microseconds (rows = message sizes).
-pub fn allgather_sweep(
-    title: &str,
-    grid: ProcGrid,
-    sizes: &[usize],
-    contestants: &[Contestant],
-    spec: &ClusterSpec,
-) -> Result<Table, AppError> {
-    let mut table = Table::new(
-        title,
-        "msg_bytes",
-        contestants.iter().map(Contestant::name).collect(),
-    );
-    for &msg in sizes {
-        let mut row = Vec::with_capacity(contestants.len());
-        for c in contestants {
-            row.push(c.allgather_latency_us(grid, msg, spec)?);
-        }
-        table.push(fmt_bytes(msg), row);
-    }
-    Ok(table)
-}
-
-/// Sweeps `osu_allreduce` over vector sizes in bytes (f32 elements are
-/// `bytes / 4`, padded up to the rank count).
-pub fn allreduce_sweep(
-    title: &str,
-    grid: ProcGrid,
-    sizes_bytes: &[usize],
-    contestants: &[Contestant],
-    spec: &ClusterSpec,
-) -> Result<Table, AppError> {
-    let mut table = Table::new(
-        title,
-        "msg_bytes",
-        contestants.iter().map(Contestant::name).collect(),
-    );
-    let r = grid.nranks() as usize;
-    for &bytes in sizes_bytes {
-        let elems = (bytes / 4).div_ceil(r) * r; // pad to divisibility
-        let mut row = Vec::with_capacity(contestants.len());
-        for c in contestants {
-            row.push(c.allreduce_latency_us(grid, elems, spec)?);
-        }
-        table.push(fmt_bytes(bytes), row);
-    }
-    Ok(table)
-}
-
 /// The standard contestant line-up of Figures 11–15.
 pub fn paper_contestants() -> Vec<Contestant> {
     vec![
@@ -208,19 +158,6 @@ pub fn paper_contestants() -> Vec<Contestant> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn allgather_sweep_produces_full_table() {
-        let spec = ClusterSpec::thor();
-        let grid = ProcGrid::new(2, 4);
-        let sizes = [1024usize, 16 * 1024];
-        let t = allgather_sweep("t", grid, &sizes, &paper_contestants(), &spec).unwrap();
-        assert_eq!(t.len(), 2);
-        for (_, row) in t.rows() {
-            assert_eq!(row.len(), 3);
-            assert!(row.iter().all(|v| *v > 0.0));
-        }
-    }
 
     #[test]
     fn mha_wins_the_inter_node_sweep() {
@@ -240,14 +177,6 @@ mod tests {
             assert!(mha < hpcx, "msg={msg}: mha {mha} vs hpcx {hpcx}");
             assert!(mha < mva, "msg={msg}: mha {mha} vs mvapich {mva}");
         }
-    }
-
-    #[test]
-    fn allreduce_sweep_pads_indivisible_sizes() {
-        let spec = ClusterSpec::thor();
-        let grid = ProcGrid::new(2, 3); // 6 ranks: 1000 bytes won't divide
-        let t = allreduce_sweep("t", grid, &[1000], &[Contestant::MhaTuned], &spec).unwrap();
-        assert_eq!(t.len(), 1);
     }
 
     #[test]

@@ -49,10 +49,7 @@ fn main() {
     }
     let report = run_campaign(&cells, &CampaignConfig::from_env()).unwrap();
 
-    let envelope: f64 = std::env::var("MHA_MODEL_ENVELOPE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2.0);
+    let envelope: f64 = mha_bench::knob("MHA_MODEL_ENVELOPE", 2.0);
     let p = ModelParams::from_spec(&spec);
     let mut t = Table::new(
         "Composer-built 3-level NUMA-aware vs 2-level NUMA-blind, 4 nodes x 16 PPN \

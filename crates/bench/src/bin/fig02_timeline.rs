@@ -6,7 +6,7 @@
 use mha_bench::campaign::{run_campaign, CampaignConfig, CampaignPoint, Row};
 use mha_collectives::{build, AlgoConfig, Family};
 use mha_sched::ProcGrid;
-use mha_simnet::{ClusterSpec, SimConfig, Simulator};
+use mha_simnet::{ClusterSpec, Simulator, TraceBuilder};
 
 fn main() {
     mha_bench::apply_check_flag();
@@ -21,10 +21,10 @@ fn main() {
     let points = vec![CampaignPoint::custom("timeline", move |_seed| {
         let sim = Simulator::new(spec2.clone()).map_err(|e| e.to_string())?;
         let built = build(&ring, grid, msg, &spec2).map_err(|e| format!("{e:?}"))?;
-        let res = sim
-            .run_with(&built.sched, SimConfig { trace: true })
+        let mut tb = TraceBuilder::new();
+        sim.run_probed(&built.sched, &mut tb)
             .map_err(|e| e.to_string())?;
-        let trace = res.trace.ok_or("trace missing")?;
+        let trace = tb.finish(&built.sched);
         let mut out = String::new();
         out.push_str("Figure 2: flat Ring Allgather, 2 nodes x 2 PPN, 1 MB per rank\n");
         out.push_str("(c = CMA transfer by receiver CPU, r = rail transfer, o = copy)\n\n");

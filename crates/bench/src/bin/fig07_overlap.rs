@@ -13,8 +13,9 @@ use mha_apps::report::{render_run_summary, Table};
 use mha_bench::campaign::{run_campaign, CampaignConfig, CampaignPoint, Row};
 use mha_collectives::mha::{InterAlgo, MhaInterConfig, Offload};
 use mha_collectives::{build, AlgoConfig};
+use mha_sched::probe::{intersection_length, union_length};
 use mha_sched::{ProcGrid, SummaryProbe, Tee};
-use mha_simnet::{intersection_length, ClusterSpec, Simulator, TraceBuilder};
+use mha_simnet::{ClusterSpec, Simulator, TraceBuilder};
 
 fn main() {
     mha_bench::apply_check_flag();
@@ -50,16 +51,14 @@ fn main() {
                 let summary = sp.finish();
                 // Phase-2 network transfers carry step tags >= 1000; phase-3
                 // copies >= 2000.
-                let net = trace.intervals_where(|s, m| {
-                    let _ = s;
+                let net = trace.intervals_where(|_, m| {
                     m.kind == "rails" && m.step.is_some_and(|st| st >= 1000)
                 });
-                let copies = trace.intervals_where(|s, m| {
-                    let _ = s;
+                let copies = trace.intervals_where(|_, m| {
                     m.kind == "copy" && m.step.is_some_and(|st| st >= 2000)
                 });
-                let net_busy = mha_simnet::union_length(&net) * 1e6;
-                let copy_busy = mha_simnet::union_length(&copies) * 1e6;
+                let net_busy = union_length(&net) * 1e6;
+                let copy_busy = union_length(&copies) * 1e6;
                 let overlap = intersection_length(&net, &copies) * 1e6;
                 let mut note = format!("[{name}] ");
                 note.push_str(&render_run_summary(&summary));

@@ -27,7 +27,8 @@
 //!   [`PointWork::Custom`] closures are reproducible too.
 //!
 //! Environment knobs: `MHA_CAMPAIGN_WORKERS` (pool size),
-//! `MHA_CAMPAIGN_CACHE` (`0`/`false` disables schedule sharing),
+//! `MHA_CAMPAIGN_CACHE` (`0`/`false`/`off`/`no` disables schedule
+//! sharing, `1`/`true`/`on`/`yes` enables it),
 //! `MHA_CAMPAIGN_REPS`, `MHA_CAMPAIGN_SEED` — see
 //! [`CampaignConfig::from_env`].
 
@@ -38,8 +39,10 @@ use std::sync::{Arc, OnceLock};
 use mha_apps::report::{fmt_bytes, Table};
 use mha_apps::Contestant;
 use mha_collectives::{AlgoConfig, TunedTable};
-use mha_sched::{Fingerprinter, FrozenSchedule, ProcGrid};
+use mha_sched::{Fingerprinter, FrozenSchedule, NullProbe, ProcGrid};
 use mha_simnet::{ClusterSpec, EngineArena, FaultSpec, Simulator};
+
+use crate::knob::{knob, Switch};
 
 /// The build-relevant configuration fingerprint a cached schedule is keyed
 /// by. Two campaign points share a cache entry **iff** their keys are
@@ -278,22 +281,17 @@ fn default_workers() -> usize {
 
 impl CampaignConfig {
     /// The defaults overridden by `MHA_CAMPAIGN_WORKERS`,
-    /// `MHA_CAMPAIGN_CACHE`, `MHA_CAMPAIGN_REPS` and `MHA_CAMPAIGN_SEED`.
+    /// `MHA_CAMPAIGN_CACHE`, `MHA_CAMPAIGN_REPS` and `MHA_CAMPAIGN_SEED`,
+    /// read through the strict [`knob`] reader: a set but malformed value
+    /// panics, naming the variable.
     pub fn from_env() -> Self {
-        let mut cfg = CampaignConfig::default();
-        if let Some(w) = env_parse::<usize>("MHA_CAMPAIGN_WORKERS") {
-            cfg.workers = w.max(1);
+        let d = CampaignConfig::default();
+        CampaignConfig {
+            workers: knob("MHA_CAMPAIGN_WORKERS", d.workers).max(1),
+            cache: knob("MHA_CAMPAIGN_CACHE", Switch(d.cache)).0,
+            reps: knob("MHA_CAMPAIGN_REPS", d.reps).max(1),
+            seed: knob("MHA_CAMPAIGN_SEED", d.seed),
         }
-        if let Ok(v) = std::env::var("MHA_CAMPAIGN_CACHE") {
-            cfg.cache = !matches!(v.trim(), "0" | "false" | "off" | "no");
-        }
-        if let Some(r) = env_parse::<u32>("MHA_CAMPAIGN_REPS") {
-            cfg.reps = r.max(1);
-        }
-        if let Some(s) = env_parse::<u64>("MHA_CAMPAIGN_SEED") {
-            cfg.seed = s;
-        }
-        cfg
     }
 
     /// Replaces the worker count (builder style).
@@ -307,10 +305,6 @@ impl CampaignConfig {
         self.cache = cache;
         self
     }
-}
-
-fn env_parse<T: std::str::FromStr>(name: &str) -> Option<T> {
-    std::env::var(name).ok()?.trim().parse().ok()
 }
 
 /// One result row produced by a campaign job: a label, numeric values
@@ -593,7 +587,9 @@ fn run_point(
         } => {
             let sched = cache.get_or_build(key, || build())?;
             let sim = simulator_for(spec, faults.as_ref())?;
-            let r = sim.run_in(&sched, arena).map_err(|e| e.to_string())?;
+            let r = sim
+                .run_probed_in(&sched, &mut NullProbe, arena)
+                .map_err(|e| e.to_string())?;
             Ok(vec![Row::new(
                 point.label.clone(),
                 vec![r.latency_us(), r.makespan],
@@ -632,8 +628,8 @@ pub fn campaign_table(
     Ok(table)
 }
 
-/// Campaign-backed replacement for `mha_apps::allgather_sweep`: same
-/// table (titles, labels, values bit-identical), but every cell is a
+/// The `osu_allgather` sweep of Figures 11–14: one table row per message
+/// size, one latency column (µs) per contestant. Every cell is a
 /// [`PointWork::Sim`] point — built schedules are cached and priced in
 /// reused engine arenas across the worker pool.
 pub fn allgather_sweep(
@@ -926,6 +922,49 @@ mod tests {
             let want = sim.run(&built.sched).unwrap().latency_us();
             assert_eq!(row.last().unwrap().to_bits(), want.to_bits(), "msg={msg}");
         }
+    }
+
+    #[test]
+    fn allgather_sweep_produces_full_table() {
+        let spec = ClusterSpec::thor();
+        let grid = ProcGrid::new(2, 4);
+        let sizes = [1024usize, 16 * 1024];
+        let contestants = mha_apps::paper_contestants();
+        let t = allgather_sweep(
+            "t",
+            grid,
+            &sizes,
+            &contestants,
+            &spec,
+            &CampaignConfig::default(),
+        )
+        .unwrap();
+        assert_eq!(t.len(), 2);
+        for (_, row) in t.rows() {
+            assert_eq!(row.len(), 3);
+            assert!(row.iter().all(|v| *v > 0.0));
+        }
+    }
+
+    #[test]
+    fn allreduce_sweep_pads_indivisible_sizes() {
+        let spec = ClusterSpec::thor();
+        let grid = ProcGrid::new(2, 3); // 6 ranks: 1000 bytes won't divide
+        let c = Contestant::MhaTuned;
+        let t = allreduce_sweep(
+            "t",
+            grid,
+            &[1000],
+            &[c],
+            vec![c.name()],
+            &spec,
+            &CampaignConfig::default(),
+        )
+        .unwrap();
+        assert_eq!(t.len(), 1);
+        // 250 f32 elements round up to the next multiple of 6 ranks.
+        let want = c.allreduce_latency_us(grid, 252, &spec).unwrap();
+        assert_eq!(t.rows()[0].1[0].to_bits(), want.to_bits());
     }
 
     #[test]

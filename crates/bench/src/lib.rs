@@ -7,7 +7,10 @@
 #![warn(missing_docs)]
 
 pub mod campaign;
+mod knob;
 pub mod traffic;
+
+pub use knob::knob;
 
 use std::path::PathBuf;
 

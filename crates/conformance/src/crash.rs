@@ -4,22 +4,19 @@
 //! oracle families (flat / two-level / MHA / Hier) plus a kill seed, then
 //! checks the same crash on both sides of the modeled-vs-executed pairing:
 //!
-//! * **executed (correctness)** — an unfailed [`mha_exec::run_single`] run
+//! * **executed (correctness)** — an unfailed sequential [`mha_exec::run`]
 //!   is the reference; a deterministic single-executor kill at a seeded op
 //!   index and a seeded [`KillPlan`] on the worker pool must both, after
-//!   [`mha_exec::resume_single`] / [`mha_exec::resume_threaded`] from the
-//!   completion journal, leave **every** buffer byte-identical to the
-//!   reference — non-idempotent Reduce ops make any double-execution or
-//!   skipped op visible;
+//!   resuming with [`mha_exec::run_journaled`] from the completion journal,
+//!   leave **every** buffer byte-identical to the reference —
+//!   non-idempotent Reduce ops make any double-execution or skipped op
+//!   visible;
 //! * **modeled (latency)** — the same scenario as a node crash in `simnet`
 //!   ([`FaultSpec::node_crash`]): the run must stay invariant-clean and
 //!   the makespan must absorb the full recovery penalty.
 
 use mha_collectives::Built;
-use mha_exec::{
-    resume_single, resume_threaded, run_single, run_single_killed, run_threaded_killed,
-    BufferStore, CompletionJournal, ExecError, KillPlan,
-};
+use mha_exec::{run, run_journaled, BufferStore, CompletionJournal, ExecError, KillPlan, Mode};
 use mha_sched::{FrozenSchedule, InvariantProbe};
 use mha_simnet::{ClusterSpec, FaultSpec, Simulator};
 use rand::{rngs::StdRng, Rng};
@@ -99,7 +96,7 @@ fn check_executed(built: &Built, kill_seed: u64, threads: usize) -> Result<(), S
 
     // Reference: the unfailed run.
     let ref_store = seeded_store(built);
-    run_single(sch, &ref_store).map_err(|e| format!("reference run: {e}"))?;
+    run(sch, &ref_store, Mode::Single).map_err(|e| format!("reference run: {e}"))?;
     let want = snapshot(sch, &ref_store);
     // Recovery is complete and byte-identical to the unfailed run.
     let recovered = |what: &str, store: &BufferStore, journal: &CompletionJournal| {
@@ -118,7 +115,13 @@ fn check_executed(built: &Built, kill_seed: u64, threads: usize) -> Result<(), S
     let k = (kill_seed % n as u64) as usize;
     let store = seeded_store(built);
     let journal = CompletionJournal::for_schedule(sch);
-    match run_single_killed(sch, &store, &journal, k) {
+    match run_journaled(
+        sch,
+        &store,
+        Mode::Single,
+        &journal,
+        Some(&KillPlan::new(k, vec![0])),
+    ) {
         Err(ExecError::Killed { done, total }) => {
             if done != k || total != n {
                 return Err(format!("single kill at {k}/{n} reported {done}/{total}"));
@@ -133,7 +136,8 @@ fn check_executed(built: &Built, kill_seed: u64, threads: usize) -> Result<(), S
             journal.len()
         ));
     }
-    resume_single(sch, &store, &journal).map_err(|e| format!("single resume: {e}"))?;
+    run_journaled(sch, &store, Mode::Single, &journal, None)
+        .map_err(|e| format!("single resume: {e}"))?;
     recovered("single-executor recovery", &store, &journal)?;
 
     // Seeded worker-thread murder on the pool. A late kill point may let
@@ -141,7 +145,7 @@ fn check_executed(built: &Built, kill_seed: u64, threads: usize) -> Result<(), S
     let plan = KillPlan::seeded(kill_seed, n, threads);
     let store = seeded_store(built);
     let journal = CompletionJournal::for_schedule(sch);
-    match run_threaded_killed(sch, &store, threads, &journal, &plan) {
+    match run_journaled(sch, &store, Mode::Threaded(threads), &journal, Some(&plan)) {
         Err(ExecError::Killed { done, total }) => {
             if done != journal.len() || total != n || done >= total {
                 return Err(format!(
@@ -149,7 +153,7 @@ fn check_executed(built: &Built, kill_seed: u64, threads: usize) -> Result<(), S
                     journal.len()
                 ));
             }
-            resume_threaded(sch, &store, threads, &journal)
+            run_journaled(sch, &store, Mode::Threaded(threads), &journal, None)
                 .map_err(|e| format!("threaded resume: {e}"))?;
         }
         Ok(()) => {}

@@ -33,8 +33,9 @@
 //! [`ReferenceSim`], a deliberately plain push-per-change simulator.
 //!
 //! Run everything with `cargo test -p mha-conformance`. The library reads
-//! no environment; the test entry points do, through one strict reader (a
-//! set but malformed value panics, naming the variable):
+//! no environment; the test entry points do, through the one strict reader
+//! [`mha_bench::knob()`] (a set but malformed value panics, naming the
+//! variable):
 //!
 //! | Knob | Default | Oracle |
 //! |---|---|---|

@@ -20,7 +20,7 @@
 
 use mha_collectives::mha::{InterAlgo, MhaInterConfig, Offload};
 use mha_collectives::{build, AlgoConfig, Built, Family as AlgoFamily};
-use mha_exec::{run_threaded_probed, BufferStore, Mode};
+use mha_exec::{run_probed, BufferStore, Mode};
 use mha_model::{mha_inter_latency, mha_intra_latency_auto, ModelParams, Phase2};
 use mha_sched::{FrozenSchedule, InvariantProbe, Probe, ProcGrid};
 use mha_simnet::{ClusterSpec, Simulator};
@@ -85,7 +85,7 @@ impl Oracle for DifferentialOracle {
         // reproduced by the executor's wall-clock stamps.
         let mut stamps = EndStamps::default();
         let store = BufferStore::new(sch);
-        run_threaded_probed(sch, &store, VERIFY_THREADS, &mut stamps)
+        run_probed(sch, &store, Mode::Threaded(VERIFY_THREADS), &mut stamps)
             .map_err(|e| format!("probed exec: {e:?}"))?;
         for op in 0..sch.n_ops() as u32 {
             for &p in sch.preds(op) {

@@ -209,14 +209,9 @@ impl<'a> ReferenceSim<'a> {
         Ok(SimResult {
             makespan,
             op_end,
-            trace: None,
             events,
             max_concurrent_flows: max_active,
             resource_bytes: st.resource_bytes,
-            resource_capacity: rmap.capacities().to_vec(),
-            resource_labels: (0..rmap.len())
-                .map(|i| rmap.label(ResourceId(i as u32)))
-                .collect(),
         })
     }
 }

@@ -9,16 +9,16 @@
 //! families — with a slice of the sweep run under random rail-fault
 //! timelines so the stall/retry paths are differenced too.
 
-use mha_simnet::{ClusterSpec, EngineArena, FaultSpec, SimResult, Simulator};
+use mha_simnet::{ClusterSpec, FaultSpec, SimResult, Simulator};
 use rand::{rngs::StdRng, Rng};
 
 use crate::cases::{sample_case, Case, Family};
 use crate::reference::ReferenceSim;
 use crate::runner::{Oracle, Tally};
 
-/// The equivalence oracle: each case is simulated through the engine (a
-/// default [`EngineArena`]) and through [`ReferenceSim`], and every
-/// observable is compared bit for bit.
+/// The equivalence oracle: each case is simulated through the engine
+/// ([`Simulator::run`]) and through [`ReferenceSim`], and every observable
+/// is compared bit for bit.
 #[derive(Debug, Clone)]
 pub struct WaterfillOracle;
 
@@ -45,7 +45,7 @@ impl Oracle for WaterfillOracle {
             None => Simulator::new(spec),
         }
         .map_err(|e| format!("simulator: {e}"))?;
-        let engine = sim.run_in(&built.sched, &mut EngineArena::new());
+        let engine = sim.run(&built.sched);
         let reference = ReferenceSim::new(&sim).run(&built.sched);
         match (engine, reference) {
             (Ok(e), Ok(r)) => bit_diff(&e, &r).map_or(Ok(()), Err)?,

@@ -9,16 +9,11 @@
 //!   (resume twice ≡ resume once) and a journal claiming an op whose
 //!   dependencies are incomplete is rejected with a typed error.
 
-mod common;
-
-use common::knob;
 use mha_bench::campaign::CampaignConfig;
+use mha_bench::knob;
 use mha_conformance::crash::{seeded_store, snapshot};
 use mha_conformance::{run, sample_case, CrashOracle, Family};
-use mha_exec::{
-    resume_single, resume_threaded, run_single, run_single_killed, CompletionJournal, ExecError,
-    JournalError,
-};
+use mha_exec::{run_journaled, CompletionJournal, ExecError, JournalError, KillPlan, Mode};
 use mha_simnet::ClusterSpec;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -58,11 +53,17 @@ fn journal_replay_is_idempotent_over_200_pairs() {
 
         let store = seeded_store(&built);
         let journal = CompletionJournal::for_schedule(sch);
-        match run_single_killed(sch, &store, &journal, k) {
+        match run_journaled(
+            sch,
+            &store,
+            Mode::Single,
+            &journal,
+            Some(&KillPlan::new(k, vec![0])),
+        ) {
             Err(ExecError::Killed { .. }) => {}
             other => panic!("{}: kill at {k} of {n}: {other:?}", case.describe()),
         }
-        resume_single(sch, &store, &journal)
+        run_journaled(sch, &store, Mode::Single, &journal, None)
             .unwrap_or_else(|e| panic!("{}: first resume: {e}", case.describe()));
         let once = snapshot(sch, &store);
         let len_once = journal.len();
@@ -70,9 +71,9 @@ fn journal_replay_is_idempotent_over_200_pairs() {
 
         // Second (and third, threaded) resume: nothing left to do, nothing
         // may change — not the bytes, not the journal.
-        resume_single(sch, &store, &journal)
+        run_journaled(sch, &store, Mode::Single, &journal, None)
             .unwrap_or_else(|e| panic!("{}: second resume: {e}", case.describe()));
-        resume_threaded(sch, &store, 3, &journal)
+        run_journaled(sch, &store, Mode::Threaded(3), &journal, None)
             .unwrap_or_else(|e| panic!("{}: threaded resume: {e}", case.describe()));
         assert_eq!(journal.len(), len_once, "{}: journal grew", case.describe());
         assert_eq!(
@@ -90,7 +91,7 @@ fn journal_replay_is_idempotent_over_200_pairs() {
 
         // And the recovered bytes match an unfailed run.
         let ref_store = seeded_store(&built);
-        run_single(sch, &ref_store).unwrap();
+        mha_exec::run(sch, &ref_store, Mode::Single).unwrap();
         assert_eq!(
             once,
             snapshot(sch, &ref_store),
@@ -128,11 +129,11 @@ fn dependency_incomplete_journals_are_rejected_typed() {
         );
         let store = seeded_store(&built);
         assert!(matches!(
-            resume_single(sch, &store, &journal),
+            run_journaled(sch, &store, Mode::Single, &journal, None),
             Err(ExecError::Journal(JournalError::DepIncomplete { .. }))
         ));
         assert!(matches!(
-            resume_threaded(sch, &store, 2, &journal),
+            run_journaled(sch, &store, Mode::Threaded(2), &journal, None),
             Err(ExecError::Journal(JournalError::DepIncomplete { .. }))
         ));
         checked += 1;

@@ -3,10 +3,8 @@
 //! simulation passes the invariant audit, and k-failed-rail latency stays
 //! within the envelope of the α–β model at H − k rails.
 
-mod common;
-
-use common::knob;
 use mha_bench::campaign::CampaignConfig;
+use mha_bench::knob;
 use mha_conformance::{run, FaultOracle};
 
 #[test]

@@ -2,9 +2,7 @@
 //! shrink to verdict-preserving minimal reproductions, and survivors of
 //! random fuzzing are genuinely correct schedules.
 
-mod common;
-
-use common::knob;
+use mha_bench::knob;
 use mha_collectives::{build, AlgoConfig, Family};
 use mha_conformance::fuzz::{apply, find_killable_edge_drop, random_mutation};
 use mha_conformance::{judge, seeded_mutants, shrink, FuzzTarget, Verdict};

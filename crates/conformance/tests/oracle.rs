@@ -1,10 +1,8 @@
 //! The differential-oracle acceptance bar: ≥ 200 random configurations,
 //! all four families, zero disagreements, plus the model envelope.
 
-mod common;
-
-use common::knob;
 use mha_bench::campaign::CampaignConfig;
+use mha_bench::knob;
 use mha_conformance::{check_model_envelope, run, DifferentialOracle, Family};
 
 #[test]

@@ -6,10 +6,8 @@
 //! bit-identically to their solo runs, and no simulator resource ever
 //! carries more bytes than `capacity × makespan`.
 
-mod common;
-
-use common::knob;
 use mha_bench::campaign::CampaignConfig;
+use mha_bench::knob;
 use mha_conformance::{run, TrafficOracle};
 
 #[test]

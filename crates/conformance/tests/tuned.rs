@@ -1,10 +1,8 @@
 //! The tuned-choice acceptance bar: the shipped tuning table serves a
 //! correct Allgather for every seeded random query — on-grid and off.
 
-mod common;
-
-use common::knob;
 use mha_bench::campaign::CampaignConfig;
+use mha_bench::knob;
 use mha_collectives::TunedTable;
 use mha_conformance::{run, TunedOracle};
 

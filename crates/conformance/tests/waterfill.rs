@@ -4,12 +4,10 @@
 //! divergence, plus two hand-built schedules replayed through one warm
 //! engine arena.
 
-mod common;
-
-use common::knob;
 use mha_bench::campaign::CampaignConfig;
+use mha_bench::knob;
 use mha_conformance::{run, waterfill::bit_diff, ReferenceSim, WaterfillOracle};
-use mha_sched::{Channel, FrozenSchedule, Loc, ProcGrid, RankId, ScheduleBuilder};
+use mha_sched::{Channel, FrozenSchedule, Loc, NullProbe, ProcGrid, RankId, ScheduleBuilder};
 use mha_simnet::{ClusterSpec, EngineArena, FaultSpec, Simulator};
 
 #[test]
@@ -94,7 +92,7 @@ fn engine_and_reference_agree_bit_for_bit_through_warm_arenas() {
         let reference = ReferenceSim::new(sim).run(sch).unwrap();
         let mut arena = EngineArena::new();
         for rep in 0..3 {
-            let engine = sim.run_in(sch, &mut arena).unwrap();
+            let engine = sim.run_probed_in(sch, &mut NullProbe, &mut arena).unwrap();
             if let Some(d) = bit_diff(&engine, &reference) {
                 panic!("{what} rep {rep}: {d}");
             }

@@ -1,10 +1,11 @@
 //! Schedule executors over real byte buffers.
 //!
-//! Two interpreters of the frozen IR with identical semantics:
+//! Two interpreters of the frozen IR with identical semantics, picked by
+//! [`Mode`]:
 //!
-//! * [`run_single`] — deterministic, sequential, in the frozen topological
-//!   order. The reference implementation.
-//! * [`run_threaded`] — a dependency-driven worker pool: readiness comes
+//! * [`Mode::Single`] — deterministic, sequential, in the frozen
+//!   topological order. The reference implementation.
+//! * [`Mode::Threaded`] — a dependency-driven worker pool: readiness comes
 //!   from the shared [`mha_sched::AtomicReadySet`] driver (the same
 //!   indegree-counter runtime the simulator uses); any worker may claim any
 //!   ready op. For schedules that pass `mha_sched::check_races` the result
@@ -13,19 +14,30 @@
 //!
 //! Neither executor models *time*; that is `mha-simnet`'s job. These exist
 //! to prove every algorithm's data movement is correct (offsets, chunking,
-//! reduction arithmetic, shm hand-offs). The `*_probed` variants narrate
-//! wall-clock op spans through a [`Probe`], the same observability seam the
-//! simulator emits, so one sink works against both backends.
+//! reduction arithmetic, shm hand-offs). Three calls cover every use:
+//! [`run`] executes, [`run_probed`] narrates wall-clock op spans through a
+//! [`Probe`] (the same observability seam the simulator emits, so one sink
+//! works against both backends), and [`run_journaled`] records completions
+//! for crash recovery, optionally under a [`KillPlan`].
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
 
 use crossbeam::channel;
 
 use mha_sched::{AtomicReadySet, DType, FrozenSchedule, OpKind, Probe, RedOp};
 
-use crate::journal::{CompletionJournal, JournalError, JournalSink, KillPlan};
+use crate::journal::{CompletionJournal, JournalError, KillPlan};
 use crate::memory::BufferStore;
+
+/// Which interpreter executes a schedule.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Mode {
+    /// Sequential reference execution.
+    Single,
+    /// Thread-pool execution with the given worker count.
+    Threaded(usize),
+}
 
 /// An execution failure.
 #[derive(Debug)]
@@ -43,9 +55,9 @@ pub enum ExecError {
         /// Ops in the schedule.
         total: usize,
     },
-    /// Execution was deliberately aborted by a [`KillPlan`] victim (or a
-    /// [`run_single_killed`] stop point). The journal holds the completed
-    /// prefix; `resume_single` / `resume_threaded` finish the rest.
+    /// Execution was deliberately aborted by a [`KillPlan`] victim. The
+    /// journal holds the completed prefix; calling [`run_journaled`] again
+    /// on it finishes the rest.
     Killed {
         /// Ops journaled as retired, including any from previous runs.
         done: usize,
@@ -146,100 +158,102 @@ fn execute_op(kind: &OpKind, store: &BufferStore) {
     }
 }
 
-/// Executes `sch` sequentially in the frozen topological order.
-pub fn run_single(sch: &FrozenSchedule, store: &BufferStore) -> Result<(), ExecError> {
-    mha_sched::validate(sch, None)?;
-    let ops = sch.ops();
-    for i in sch.topo_order() {
-        execute_op(&ops[i as usize].kind, store);
-    }
-    Ok(())
+/// Executes `sch` in `mode`.
+pub fn run(sch: &FrozenSchedule, store: &BufferStore, mode: Mode) -> Result<(), ExecError> {
+    execute(sch, store, mode, None, None, None)
 }
 
-/// [`run_single`] narrated through `probe`: wall-clock op spans (seconds
-/// from run start) plus begin/end envelope, `backend = "exec-single"`.
-pub fn run_single_probed(
+/// [`run`] narrated through `probe`: wall-clock op spans in seconds from
+/// the run start, between a begin/end envelope whose backend is
+/// `"exec-single"` or `"exec-threaded"`.
+///
+/// The sequential interpreter reports each op as it runs. Pool workers
+/// record per-op timestamps instead, and the events are replayed into
+/// `probe` in time order after the pool joins, so the sink needs no
+/// synchronization.
+pub fn run_probed(
     sch: &FrozenSchedule,
     store: &BufferStore,
+    mode: Mode,
     probe: &mut dyn Probe,
 ) -> Result<(), ExecError> {
-    mha_sched::validate(sch, None)?;
-    probe.begin_run(sch, "exec-single");
-    let t0 = Instant::now();
-    let ops = sch.ops();
-    for i in sch.topo_order() {
-        let t = t0.elapsed().as_secs_f64();
-        probe.op_ready(i, t);
-        probe.op_start(i, t);
-        execute_op(&ops[i as usize].kind, store);
-        probe.op_end(i, t0.elapsed().as_secs_f64());
-    }
-    probe.end_run(t0.elapsed().as_secs_f64());
-    Ok(())
+    execute(sch, store, mode, Some(probe), None, None)
 }
 
-/// Executes the unfinished suffix of `sch` sequentially, skipping ops
-/// `journal` already records and appending each newly retired op.
+/// [`run`] with per-op completion journaling, resume-aware: ops `journal`
+/// already records are skipped and only the unfinished suffix executes,
+/// each newly retired op appended to the same journal. With an empty
+/// journal this is a journaled run; with a partly filled one it is crash
+/// recovery, and calling it again on a complete journal is a no-op.
 ///
-/// With an empty journal this is [`run_single`] plus journaling; with a
-/// partially filled one it is crash recovery: journaled ops' byte effects
-/// are already durable in `store` (ops are journaled only after they fully
-/// execute), so only the suffix runs — which is what keeps recovery
-/// byte-exact even for non-idempotent `Reduce` ops. Fails with
+/// Journaled ops' byte effects are already durable in `store` (ops are
+/// journaled only after they fully execute, and before any successor is
+/// released, so the journal is dependency-closed at every instant), which
+/// keeps recovery byte-exact even for non-idempotent `Reduce` ops.
+///
+/// Under a `kill` plan each victim worker dies — instead of executing the
+/// op it just claimed — once the journal holds its threshold of entries;
+/// the claimed op stays unexecuted and unjournaled, so the next call runs
+/// it exactly once. The sequential interpreter is worker 0: under
+/// `KillPlan::new(k, vec![0])` it stops with exactly `k` entries journaled
+/// (when `k` is below the op count). Returns [`ExecError::Killed`] when a
+/// victim fired, or `Ok` when execution finished before any threshold was
+/// reached (a late kill point on a fast pool). Fails with
 /// [`ExecError::Journal`] if the journal is not a valid partial execution
 /// of `sch`.
-pub fn run_single_journaled(
+pub fn run_journaled(
     sch: &FrozenSchedule,
     store: &BufferStore,
+    mode: Mode,
     journal: &CompletionJournal,
+    kill: Option<&KillPlan>,
 ) -> Result<(), ExecError> {
-    run_single_limited(sch, store, journal, usize::MAX)
+    execute(sch, store, mode, None, Some(journal), kill)
 }
 
-/// Finishes a crashed run from its journal: [`run_single_journaled`] under
-/// its recovery name. Safe to call again on an already-complete journal (a
-/// no-op), which makes resume idempotent.
-pub fn resume_single(
+fn execute(
     sch: &FrozenSchedule,
     store: &BufferStore,
-    journal: &CompletionJournal,
-) -> Result<(), ExecError> {
-    run_single_journaled(sch, store, journal)
-}
-
-/// [`run_single_journaled`] that deliberately crashes — returns
-/// [`ExecError::Killed`] instead of executing further — once `journal`
-/// holds `stop_after` entries. The op claimed at the stop point is *not*
-/// executed and *not* journaled, exactly like a [`KillPlan`] victim dying
-/// in the threaded pool, so the journal length at the kill is precisely
-/// `stop_after` (when `stop_after < n_ops`). The deterministic kill used
-/// by golden tests.
-pub fn run_single_killed(
-    sch: &FrozenSchedule,
-    store: &BufferStore,
-    journal: &CompletionJournal,
-    stop_after: usize,
-) -> Result<(), ExecError> {
-    run_single_limited(sch, store, journal, stop_after)
-}
-
-fn run_single_limited(
-    sch: &FrozenSchedule,
-    store: &BufferStore,
-    journal: &CompletionJournal,
-    stop_after: usize,
+    mode: Mode,
+    probe: Option<&mut dyn Probe>,
+    journal: Option<&CompletionJournal>,
+    kill: Option<&KillPlan>,
 ) -> Result<(), ExecError> {
     mha_sched::validate(sch, None)?;
-    let entries = journal.validate(sch)?;
+    let completed = match journal {
+        Some(j) => j.validate(sch)?,
+        None => Vec::new(),
+    };
+    match mode {
+        Mode::Single => run_sequential(sch, store, probe, journal, &completed, kill),
+        Mode::Threaded(threads) => run_pool(sch, store, threads, probe, journal, &completed, kill),
+    }
+}
+
+fn run_sequential(
+    sch: &FrozenSchedule,
+    store: &BufferStore,
+    mut probe: Option<&mut dyn Probe>,
+    journal: Option<&CompletionJournal>,
+    completed: &[u32],
+    kill: Option<&KillPlan>,
+) -> Result<(), ExecError> {
     let n = sch.n_ops();
-    let mut done = vec![false; n];
-    for &c in &entries {
+    let mut done = vec![false; if completed.is_empty() { 0 } else { n }];
+    for &c in completed {
         done[c as usize] = true;
     }
-    let mut retired = entries.len();
+    let stop_after = kill.and_then(|p| p.threshold(0)).unwrap_or(usize::MAX);
+    if let Some(p) = probe.as_deref_mut() {
+        p.begin_run(sch, "exec-single");
+    }
+    // Clock reads only when a probe listens.
+    let t0 = probe.is_some().then(Instant::now);
+    let now = || t0.map_or(0.0, |t| t.elapsed().as_secs_f64());
     let ops = sch.ops();
+    let mut retired = completed.len();
     for i in sch.topo_order() {
-        if done[i as usize] {
+        if done.get(i as usize) == Some(&true) {
             continue;
         }
         if retired >= stop_after {
@@ -248,104 +262,36 @@ fn run_single_limited(
                 total: n,
             });
         }
+        if let Some(p) = probe.as_deref_mut() {
+            let t = now();
+            p.op_ready(i, t);
+            p.op_start(i, t);
+        }
         execute_op(&ops[i as usize].kind, store);
-        journal.record(i);
+        if let Some(p) = probe.as_deref_mut() {
+            p.op_end(i, now());
+        }
+        if let Some(j) = journal {
+            j.record(i);
+        }
         retired += 1;
+    }
+    if let Some(p) = probe {
+        p.end_run(now());
     }
     Ok(())
 }
 
-/// Executes `sch` on `threads` worker threads, honoring only the DAG's
-/// dependency edges (any topological interleaving may occur).
-pub fn run_threaded(
-    sch: &FrozenSchedule,
-    store: &BufferStore,
-    threads: usize,
-) -> Result<(), ExecError> {
-    run_threaded_inner(sch, store, threads, None, None, &[], None)
-}
-
-/// [`run_threaded`] with per-op completion journaling, resume-aware: ops
-/// `journal` already records are pre-released (their successors' indegrees
-/// seeded down via [`AtomicReadySet::from_completed`]) and only the
-/// unfinished suffix executes. Each op is journaled after its byte effects
-/// land and before any successor is released, so the journal is
-/// dependency-closed at every instant — including mid-crash.
-pub fn run_threaded_journaled(
-    sch: &FrozenSchedule,
-    store: &BufferStore,
-    threads: usize,
-    journal: &CompletionJournal,
-) -> Result<(), ExecError> {
-    let completed = journal.validate(sch)?;
-    run_threaded_inner(sch, store, threads, None, Some(journal), &completed, None)
-}
-
-/// Finishes a crashed run from its journal on the worker pool:
-/// [`run_threaded_journaled`] under its recovery name. Idempotent — on an
-/// already-complete journal it is a no-op.
-pub fn resume_threaded(
-    sch: &FrozenSchedule,
-    store: &BufferStore,
-    threads: usize,
-    journal: &CompletionJournal,
-) -> Result<(), ExecError> {
-    run_threaded_journaled(sch, store, threads, journal)
-}
-
-/// [`run_threaded_journaled`] under a deterministic kill plan: each victim
-/// worker dies — via the same contained-panic release machinery as
-/// [`ExecError::WorkerPanicked`] — instead of executing the op it just
-/// claimed, once the journaled-op count reaches its threshold. The claimed
-/// op stays unexecuted and unjournaled, so `resume_threaded` re-runs it
-/// exactly once. Returns [`ExecError::Killed`] when a victim fired, or
-/// `Ok` when execution finished before any threshold was reached (a late
-/// kill point on a fast pool).
-pub fn run_threaded_killed(
-    sch: &FrozenSchedule,
-    store: &BufferStore,
-    threads: usize,
-    journal: &CompletionJournal,
-    plan: &KillPlan,
-) -> Result<(), ExecError> {
-    let completed = journal.validate(sch)?;
-    run_threaded_inner(
-        sch,
-        store,
-        threads,
-        None,
-        Some(journal),
-        &completed,
-        Some(plan),
-    )
-}
-
-/// [`run_threaded`] narrated through `probe` (`backend = "exec-threaded"`).
-///
-/// Workers record wall-clock per-op timestamps while running; the event
-/// stream is replayed into `probe` in time order after the pool joins, so
-/// the sink needs no synchronization.
-pub fn run_threaded_probed(
-    sch: &FrozenSchedule,
-    store: &BufferStore,
-    threads: usize,
-    probe: &mut dyn Probe,
-) -> Result<(), ExecError> {
-    run_threaded_inner(sch, store, threads, Some(probe), None, &[], None)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_threaded_inner(
+fn run_pool(
     sch: &FrozenSchedule,
     store: &BufferStore,
     threads: usize,
     mut probe: Option<&mut dyn Probe>,
-    journal: Option<&dyn JournalSink>,
+    journal: Option<&CompletionJournal>,
     completed: &[u32],
     kill: Option<&KillPlan>,
 ) -> Result<(), ExecError> {
     assert!(threads > 0, "need at least one worker");
-    mha_sched::validate(sch, None)?;
     let n = sch.n_ops();
     let base = completed.len();
     let todo = n - base;
@@ -364,8 +310,8 @@ fn run_threaded_inner(
         AtomicReadySet::from_completed(sch, completed)
     };
     let done = AtomicUsize::new(0);
-    let poisoned = std::sync::atomic::AtomicBool::new(false);
-    let killed = std::sync::atomic::AtomicBool::new(false);
+    let poisoned = AtomicBool::new(false);
+    let killed = AtomicBool::new(false);
     let (tx, rx) = channel::unbounded::<usize>();
     for &i in &frontier {
         if let Some(p) = probe.as_deref_mut() {
@@ -438,7 +384,7 @@ fn run_threaded_inner(
                     // any successor can be released: at every instant the
                     // journal is a dependency-closed prefix in retire order.
                     if let Some(j) = journal {
-                        j.op_retired(i as u32);
+                        j.record(i as u32);
                     }
                     ready.complete(sch, i as u32, |s| {
                         // A send can only fail if the channel somehow died;
@@ -540,7 +486,7 @@ mod tests {
         let store = BufferStore::new(&sch);
         let pattern: Vec<u8> = (0..16).collect();
         store.fill(sch.buffers()[0].id, 0, &pattern);
-        run_single(&sch, &store).unwrap();
+        run(&sch, &store, Mode::Single).unwrap();
         assert_eq!(store.read_all(sch.buffers()[5].id), pattern);
     }
 
@@ -551,7 +497,7 @@ mod tests {
         for threads in [1, 2, 8] {
             let store = BufferStore::new(&sch);
             store.fill(sch.buffers()[0].id, 0, &pattern);
-            run_threaded(&sch, &store, threads).unwrap();
+            run(&sch, &store, Mode::Threaded(threads)).unwrap();
             assert_eq!(store.read_all(sch.buffers()[20].id), pattern);
         }
     }
@@ -566,7 +512,7 @@ mod tests {
         let sch = relay_schedule(5);
         let tiny = relay_schedule(1);
         let store = BufferStore::new(&tiny);
-        let err = run_threaded(&sch, &store, 4).unwrap_err();
+        let err = run(&sch, &store, Mode::Threaded(4)).unwrap_err();
         assert!(matches!(err, ExecError::WorkerPanicked), "got {err}");
     }
 
@@ -598,7 +544,7 @@ mod tests {
         let sch = b.finish().freeze();
         let store = BufferStore::new(&sch);
         store.fill(s, 0, &[5; 8]);
-        run_threaded(&sch, &store, 4).unwrap();
+        run(&sch, &store, Mode::Threaded(4)).unwrap();
         assert_eq!(store.read_all(d), vec![5; 8]);
     }
 
@@ -630,7 +576,7 @@ mod tests {
             .collect();
         store.fill(acc, 0, &a);
         store.fill(op, 0, &o);
-        run_single(&sch, &store).unwrap();
+        run(&sch, &store, Mode::Single).unwrap();
         let out = store.read_all(acc);
         let v0 = f64::from_ne_bytes(out[0..8].try_into().unwrap());
         let v1 = f64::from_ne_bytes(out[8..16].try_into().unwrap());
@@ -659,7 +605,7 @@ mod tests {
         let o: Vec<u8> = [3.0f32, 2.0].iter().flat_map(|v| v.to_ne_bytes()).collect();
         store.fill(acc, 0, &a);
         store.fill(op, 0, &o);
-        run_single(&sch, &store).unwrap();
+        run(&sch, &store, Mode::Single).unwrap();
         let out = store.read_all(acc);
         let v0 = f32::from_ne_bytes(out[0..4].try_into().unwrap());
         let v1 = f32::from_ne_bytes(out[4..8].try_into().unwrap());
@@ -685,11 +631,11 @@ mod tests {
         let sch = b.finish().freeze();
         let store = BufferStore::new(&sch);
         assert!(matches!(
-            run_single(&sch, &store),
+            run(&sch, &store, Mode::Single),
             Err(ExecError::InvalidSchedule(_))
         ));
         assert!(matches!(
-            run_threaded(&sch, &store, 2),
+            run(&sch, &store, Mode::Threaded(2)),
             Err(ExecError::InvalidSchedule(_))
         ));
     }
@@ -700,8 +646,8 @@ mod tests {
             .finish()
             .freeze();
         let store = BufferStore::new(&sch);
-        run_single(&sch, &store).unwrap();
-        run_threaded(&sch, &store, 4).unwrap();
+        run(&sch, &store, Mode::Single).unwrap();
+        run(&sch, &store, Mode::Threaded(4)).unwrap();
     }
 
     /// An allreduce-flavored chain: repeated non-idempotent Reduce ops
@@ -752,10 +698,17 @@ mod tests {
         for k in 0..sch.n_ops() {
             let store = fill_chain(&sch, &bufs);
             let journal = CompletionJournal::for_schedule(&sch);
-            let err = run_single_killed(&sch, &store, &journal, k).unwrap_err();
+            let err = run_journaled(
+                &sch,
+                &store,
+                Mode::Single,
+                &journal,
+                Some(&KillPlan::new(k, vec![0])),
+            )
+            .unwrap_err();
             assert!(matches!(err, ExecError::Killed { done, total: 10 } if done == k));
             assert_eq!(journal.len(), k);
-            resume_single(&sch, &store, &journal).unwrap();
+            run_journaled(&sch, &store, Mode::Single, &journal, None).unwrap();
             assert!(journal.is_complete());
             assert_eq!(acc_value(&store, bufs[0]), 66.0, "kill at {k}");
         }
@@ -766,7 +719,14 @@ mod tests {
         let (sch, bufs) = reduce_chain(4);
         let store = fill_chain(&sch, &bufs);
         let journal = CompletionJournal::for_schedule(&sch);
-        run_single_killed(&sch, &store, &journal, 99).unwrap();
+        run_journaled(
+            &sch,
+            &store,
+            Mode::Single,
+            &journal,
+            Some(&KillPlan::new(99, vec![0])),
+        )
+        .unwrap();
         assert!(journal.is_complete());
         assert_eq!(acc_value(&store, bufs[0]), 15.0);
     }
@@ -778,12 +738,12 @@ mod tests {
             let plan = KillPlan::seeded(seed, sch.n_ops(), 4);
             let store = fill_chain(&sch, &bufs);
             let journal = CompletionJournal::for_schedule(&sch);
-            match run_threaded_killed(&sch, &store, 4, &journal, &plan) {
+            match run_journaled(&sch, &store, Mode::Threaded(4), &journal, Some(&plan)) {
                 Err(ExecError::Killed { done, total }) => {
                     assert_eq!(done, journal.len());
                     assert_eq!(total, sch.n_ops());
                     assert!(done < total);
-                    resume_threaded(&sch, &store, 4, &journal).unwrap();
+                    run_journaled(&sch, &store, Mode::Threaded(4), &journal, None).unwrap();
                 }
                 Ok(()) => assert!(journal.is_complete()),
                 Err(e) => panic!("unexpected error: {e}"),
@@ -798,11 +758,17 @@ mod tests {
         let (sch, bufs) = reduce_chain(8);
         let store = fill_chain(&sch, &bufs);
         let journal = CompletionJournal::for_schedule(&sch);
-        let _ = run_single_killed(&sch, &store, &journal, 3);
-        resume_single(&sch, &store, &journal).unwrap();
+        let _ = run_journaled(
+            &sch,
+            &store,
+            Mode::Single,
+            &journal,
+            Some(&KillPlan::new(3, vec![0])),
+        );
+        run_journaled(&sch, &store, Mode::Single, &journal, None).unwrap();
         let after_once = acc_value(&store, bufs[0]);
-        resume_single(&sch, &store, &journal).unwrap();
-        resume_threaded(&sch, &store, 4, &journal).unwrap();
+        run_journaled(&sch, &store, Mode::Single, &journal, None).unwrap();
+        run_journaled(&sch, &store, Mode::Threaded(4), &journal, None).unwrap();
         assert_eq!(acc_value(&store, bufs[0]), after_once);
         assert_eq!(journal.len(), sch.n_ops());
     }
@@ -813,12 +779,12 @@ mod tests {
         let store = fill_chain(&sch, &bufs);
         // Claims op 2 complete while its dependency (op 1) is not.
         let journal = CompletionJournal::from_entries(sch.n_ops(), vec![0, 2]);
-        let err = run_single_journaled(&sch, &store, &journal).unwrap_err();
+        let err = run_journaled(&sch, &store, Mode::Single, &journal, None).unwrap_err();
         assert!(matches!(
             err,
             ExecError::Journal(JournalError::DepIncomplete { op: 2, dep: 1 })
         ));
-        let err = run_threaded_journaled(&sch, &store, 2, &journal).unwrap_err();
+        let err = run_journaled(&sch, &store, Mode::Threaded(2), &journal, None).unwrap_err();
         assert!(matches!(err, ExecError::Journal(_)));
     }
 
@@ -829,11 +795,11 @@ mod tests {
         let plan = KillPlan::kill_all(4, 4);
         let store = fill_chain(&sch, &bufs);
         let journal = CompletionJournal::for_schedule(&sch);
-        match run_threaded_killed(&sch, &store, 4, &journal, &plan) {
+        match run_journaled(&sch, &store, Mode::Threaded(4), &journal, Some(&plan)) {
             Err(ExecError::Killed { .. }) | Ok(()) => {}
             Err(e) => panic!("unexpected error: {e}"),
         }
-        resume_single(&sch, &store, &journal).unwrap();
+        run_journaled(&sch, &store, Mode::Single, &journal, None).unwrap();
         assert_eq!(acc_value(&store, bufs[0]), 91.0);
     }
 
@@ -864,7 +830,7 @@ mod tests {
         let sch = b.finish().freeze();
         let store = BufferStore::new(&sch);
         store.fill(src, 0, &[7; 8]);
-        run_threaded(&sch, &store, 8).unwrap();
+        run(&sch, &store, Mode::Threaded(8)).unwrap();
         assert_eq!(store.read_all(last), vec![7; 8]);
     }
 }

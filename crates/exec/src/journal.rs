@@ -4,7 +4,7 @@
 //! execution needs to resume is which ops retired — the
 //! [`mha_sched::FrozenSchedule`] indegree vector replayed over that set is
 //! exactly the recoverable frontier (see
-//! [`mha_sched::ReadySet::from_completed`]). A [`CompletionJournal`]
+//! [`mha_sched::AtomicReadySet::from_completed`]). A [`CompletionJournal`]
 //! records completions in retire order as execution proceeds; the executors
 //! append an op only *after* its byte effects are fully applied and
 //! *before* its successors are released, so at any crash point the journal
@@ -17,8 +17,8 @@
 //! die (via the same contained-panic machinery that reports
 //! [`crate::ExecError::WorkerPanicked`]) once the global retired-op counter
 //! passes their seeded thresholds, the run aborts with
-//! [`crate::ExecError::Killed`], and `resume_threaded` finishes the
-//! unfinished suffix against the same buffers.
+//! [`crate::ExecError::Killed`], and calling [`crate::run_journaled`] again
+//! finishes the unfinished suffix against the same buffers.
 
 use parking_lot::Mutex;
 
@@ -66,20 +66,12 @@ impl std::fmt::Display for JournalError {
 
 impl std::error::Error for JournalError {}
 
-/// A sink receiving op completions as they retire. Implementations must be
-/// callable from many worker threads at once (`&self`, `Sync`).
-pub trait JournalSink: Sync {
-    /// Called once per op, after its effects are fully applied to the
-    /// buffers and before any successor is released.
-    fn op_retired(&self, op: u32);
-}
-
 /// An append-only per-op completion journal in retire order.
 ///
 /// Appends are serialized by a mutex — retire order is then a valid
 /// topological order of the completed set, because the executors journal an
 /// op before releasing its successors. The journal survives the run that
-/// wrote it: pass it to `resume_single` / `resume_threaded` to execute only
+/// wrote it: pass it to [`crate::run_journaled`] again to execute only
 /// the unfinished suffix (appending the newly retired ops to the same
 /// journal), or to [`CompletionJournal::validate`] to audit it first.
 #[derive(Debug)]
@@ -132,8 +124,9 @@ impl CompletionJournal {
         self.entries.lock().clone()
     }
 
-    /// Records `op` as retired. Executors call this through
-    /// [`JournalSink`]; tests may append directly.
+    /// Records `op` as retired. Executors call this after the op's effects
+    /// land and before any successor is released; tests may append
+    /// directly.
     pub fn record(&self, op: u32) {
         self.entries.lock().push(op);
     }
@@ -177,13 +170,8 @@ impl CompletionJournal {
     }
 }
 
-impl JournalSink for CompletionJournal {
-    fn op_retired(&self, op: u32) {
-        self.record(op);
-    }
-}
-
-/// A deterministic worker-kill schedule for the threaded executor.
+/// A deterministic worker-kill schedule for [`crate::run_journaled`] (the
+/// sequential interpreter counts as worker 0).
 ///
 /// Victim `victims[i]` (a worker index in `0..threads`) dies — instead of
 /// executing the op it just claimed — once the global retired-op counter

@@ -12,17 +12,8 @@
 
 use mha_sched::{BufId, FrozenSchedule};
 
-use crate::executor::{run_single, run_threaded, ExecError};
+use crate::executor::{run, ExecError, Mode};
 use crate::memory::BufferStore;
-
-/// How to execute during verification.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Mode {
-    /// Sequential reference execution.
-    Single,
-    /// Thread-pool execution with the given worker count.
-    Threaded(usize),
-}
 
 /// A verification failure.
 #[derive(Debug)]
@@ -102,13 +93,6 @@ pub fn rank_pattern(rank: usize, len: usize) -> Vec<u8> {
         .collect()
 }
 
-fn run_mode(sch: &FrozenSchedule, store: &BufferStore, mode: Mode) -> Result<(), ExecError> {
-    match mode {
-        Mode::Single => run_single(sch, store),
-        Mode::Threaded(n) => run_threaded(sch, store, n),
-    }
-}
-
 /// Fills each rank's send buffer with [`rank_pattern`], executes, and checks
 /// MPI_Allgather semantics: `recv[rank] == concat(pattern(0..nranks))`.
 ///
@@ -127,7 +111,7 @@ pub fn verify_allgather(
     for (r, &buf) in send.iter().enumerate() {
         store.fill(buf, 0, &rank_pattern(r, msg));
     }
-    run_mode(sch, &store, mode)?;
+    run(sch, &store, mode)?;
     let expected: Vec<u8> = (0..n).flat_map(|r| rank_pattern(r, msg)).collect();
     for (r, &buf) in recv.iter().enumerate() {
         let got = store.read(buf, 0, n * msg);
@@ -172,7 +156,7 @@ pub fn verify_allreduce_sum_f32(
             .collect();
         store.fill(buf, 0, &bytes);
     }
-    run_mode(sch, &store, mode)?;
+    run(sch, &store, mode)?;
     // sum over ranks of (rank+1) = n(n+1)/2; element i scales by (i%13 + 1).
     let rank_sum = (n * (n + 1) / 2) as f32;
     for (r, &buf) in recv.iter().enumerate() {
@@ -207,7 +191,7 @@ pub fn verify_bcast(
     let store = BufferStore::new(sch);
     let payload = rank_pattern(root.wrapping_add(17), msg);
     store.fill(bufs[root], 0, &payload);
-    run_mode(sch, &store, mode)?;
+    run(sch, &store, mode)?;
     for (r, &buf) in bufs.iter().enumerate() {
         let got = store.read(buf, 0, msg);
         if let Some(off) = got.iter().zip(&payload).position(|(a, b)| a != b) {
@@ -239,7 +223,7 @@ pub fn verify_alltoall(
     for (r, &buf) in send.iter().enumerate() {
         store.fill(buf, 0, &rank_pattern(r, n * msg));
     }
-    run_mode(sch, &store, mode)?;
+    run(sch, &store, mode)?;
     for (r, &buf) in recv.iter().enumerate() {
         let got = store.read(buf, 0, n * msg);
         for s in 0..n {

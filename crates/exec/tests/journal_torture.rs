@@ -9,8 +9,7 @@
 //! accumulator) or is lost (hole in a receive window) breaks byte-identity
 //! with the sequential reference run.
 
-use mha_exec::run_threaded_killed;
-use mha_exec::{resume_threaded, run_single, BufferStore, CompletionJournal, ExecError, KillPlan};
+use mha_exec::{run, run_journaled, BufferStore, CompletionJournal, ExecError, KillPlan, Mode};
 use mha_sched::{
     BufId, Channel, DType, FrozenSchedule, Loc, ProcGrid, RankId, RedOp, ScheduleBuilder,
 };
@@ -128,7 +127,7 @@ fn killing_every_worker_recovers_byte_identically() {
     assert!(n > THREADS, "mesh too small to torture");
 
     let ref_store = seeded_store(&m);
-    run_single(&m.sch, &ref_store).unwrap();
+    run(&m.sch, &ref_store, Mode::Single).unwrap();
     let want = snapshot(&m, &ref_store);
     // Sanity on the reference itself: every receive window filled, every
     // accumulator holds its closed-form sum.
@@ -154,12 +153,18 @@ fn killing_every_worker_recovers_byte_identically() {
         let plan = KillPlan::kill_all(k, THREADS);
         let store = seeded_store(&m);
         let journal = CompletionJournal::for_schedule(&m.sch);
-        match run_threaded_killed(&m.sch, &store, THREADS, &journal, &plan) {
+        match run_journaled(
+            &m.sch,
+            &store,
+            Mode::Threaded(THREADS),
+            &journal,
+            Some(&plan),
+        ) {
             Err(ExecError::Killed { done, total }) => {
                 assert_eq!(total, n);
                 assert!(done < n, "round {round}: killed run claims completion");
                 assert_eq!(done, journal.len());
-                resume_threaded(&m.sch, &store, THREADS, &journal)
+                run_journaled(&m.sch, &store, Mode::Threaded(THREADS), &journal, None)
                     .unwrap_or_else(|e| panic!("round {round} (k={k}): resume: {e}"));
             }
             // Kill points at the very end can lose the race with the pool.
@@ -188,7 +193,13 @@ fn repeated_crashes_of_the_same_run_converge() {
         let mut crashes = 0usize;
         loop {
             let plan = KillPlan::seeded(rng.gen_range(0..u64::MAX), n, THREADS);
-            match run_threaded_killed(&m.sch, &store, THREADS, &journal, &plan) {
+            match run_journaled(
+                &m.sch,
+                &store,
+                Mode::Threaded(THREADS),
+                &journal,
+                Some(&plan),
+            ) {
                 Err(ExecError::Killed { .. }) => {
                     // A plan whose kill point is already behind the journal
                     // kills instantly with little or no progress — legal,
@@ -202,7 +213,7 @@ fn repeated_crashes_of_the_same_run_converge() {
         }
         assert!(journal.is_complete());
         let ref_store = seeded_store(&m);
-        run_single(&m.sch, &ref_store).unwrap();
+        run(&m.sch, &ref_store, Mode::Single).unwrap();
         assert_eq!(
             snapshot(&m, &store),
             snapshot(&m, &ref_store),

@@ -12,10 +12,7 @@
 //!   pre-CSR engine);
 //! * `roots`: the Kahn bootstrap set every readiness driver needs (see
 //!   [`crate::runtime`]); indegrees are the predecessor-offset differences
-//!   and the topological order is creation order, so neither is stored;
-//! * `rows`: a dense per-op summary ([`OpRow`]) — kind class, bytes, step,
-//!   lane rank — so probes and trace sinks classify ops without matching on
-//!   [`OpKind`] themselves.
+//!   and the topological order is creation order, so neither is stored.
 //!
 //! `FrozenSchedule` derefs to [`Schedule`], so everything that inspects a
 //! schedule (`validate`, `stats`, `preds`, buffer lookups) keeps working
@@ -23,63 +20,10 @@
 
 use std::ops::Deref;
 
-use crate::op::{Channel, OpKind};
 use crate::schedule::Schedule;
 
-/// Coarse classification of an op for traces, probes and summaries —
-/// the same partition [`OpKind::kind_name`] reports, as a dense enum.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum OpClass {
-    /// Intra-node kernel-assisted transfer (destination CPU does the work).
-    Cma,
-    /// Transfer pinned to one HCA rail.
-    Rail,
-    /// Transfer over the multi-rail pt2pt layer (striped or round-robin).
-    Rails,
-    /// CPU memcpy.
-    Copy,
-    /// CPU reduction.
-    Reduce,
-    /// Pure compute.
-    Compute,
-}
-
-impl OpClass {
-    /// Whether the HCA, not a CPU, performs the op (network lane).
-    #[inline]
-    pub fn is_network(self) -> bool {
-        matches!(self, OpClass::Rail | OpClass::Rails)
-    }
-
-    /// The short name [`OpKind::kind_name`] would report.
-    pub fn name(self) -> &'static str {
-        match self {
-            OpClass::Cma => "cma",
-            OpClass::Rail => "rail",
-            OpClass::Rails => "rails",
-            OpClass::Copy => "copy",
-            OpClass::Reduce => "reduce",
-            OpClass::Compute => "compute",
-        }
-    }
-}
-
-/// Dense per-op summary row, precomputed at freeze time.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct OpRow {
-    /// Kind classification.
-    pub class: OpClass,
-    /// Bytes the op moves (0 for compute).
-    pub bytes: u64,
-    /// Algorithm step, if one was assigned.
-    pub step: Option<u32>,
-    /// The rank whose timeline lane the op belongs to: the posting rank for
-    /// network transfers, the executing CPU's rank otherwise.
-    pub rank: u32,
-}
-
 /// An immutable, execution-ready schedule: the original [`Schedule`] plus
-/// the successor index, the roots and the dense op table.
+/// the successor index and the roots.
 ///
 /// Produced by [`Schedule::freeze`]; consumed by `mha-simnet`'s engine and
 /// `mha-exec`'s executors via the readiness drivers in [`crate::runtime`].
@@ -89,35 +33,9 @@ pub struct FrozenSchedule {
     succ_off: Vec<u32>,
     succ: Vec<u32>,
     roots: Vec<u32>,
-    rows: Vec<OpRow>,
     /// Rail count this schedule last validated cleanly against (see
     /// [`FrozenSchedule::validate_for`]).
     validated: std::sync::OnceLock<Option<u8>>,
-}
-
-fn row_of(kind: &OpKind, step: u32) -> OpRow {
-    let step = (step != u32::MAX).then_some(step);
-    let (class, rank) = match kind {
-        OpKind::Transfer {
-            src_rank,
-            dst_rank,
-            channel,
-            ..
-        } => match channel {
-            Channel::Cma => (OpClass::Cma, dst_rank.0),
-            Channel::Rail(_) => (OpClass::Rail, src_rank.0),
-            Channel::AllRails => (OpClass::Rails, src_rank.0),
-        },
-        OpKind::Copy { actor, .. } => (OpClass::Copy, actor.0),
-        OpKind::Reduce { actor, .. } => (OpClass::Reduce, actor.0),
-        OpKind::Compute { actor, .. } => (OpClass::Compute, actor.0),
-    };
-    OpRow {
-        class,
-        bytes: kind.bytes() as u64,
-        step,
-        rank,
-    }
 }
 
 impl Schedule {
@@ -151,22 +69,12 @@ impl Schedule {
         succ_off[0] = 0;
 
         let roots: Vec<u32> = (0..n as u32).filter(|&i| self.indegree(i) == 0).collect();
-        let rows = self
-            .ops
-            .iter()
-            .enumerate()
-            .map(|(i, op)| {
-                debug_assert_eq!(op.id.index(), i, "ops must be stored in id order");
-                row_of(&op.kind, op.step)
-            })
-            .collect();
 
         FrozenSchedule {
             sched: self,
             succ_off,
             succ,
             roots,
-            rows,
             validated: std::sync::OnceLock::new(),
         }
     }
@@ -176,7 +84,7 @@ impl FrozenSchedule {
     /// Number of ops.
     #[inline]
     pub fn n_ops(&self) -> usize {
-        self.rows.len()
+        self.sched.ops().len()
     }
 
     /// Ops that depend on `op`, in the order the builder recorded them.
@@ -197,18 +105,6 @@ impl FrozenSchedule {
     #[inline]
     pub fn topo_order(&self) -> std::ops::Range<u32> {
         0..self.n_ops() as u32
-    }
-
-    /// The dense per-op summary table.
-    #[inline]
-    pub fn rows(&self) -> &[OpRow] {
-        &self.rows
-    }
-
-    /// Summary row of `op`.
-    #[inline]
-    pub fn row(&self, op: u32) -> &OpRow {
-        &self.rows[op as usize]
     }
 
     /// [`crate::validate`] with a success memo: an immutable frozen
@@ -254,6 +150,7 @@ mod tests {
     use crate::builder::ScheduleBuilder;
     use crate::grid::ProcGrid;
     use crate::ids::{NodeId, RankId};
+    use crate::op::{Channel, OpClass, OpKind};
 
     fn diamond() -> FrozenSchedule {
         // 0 -> {1, 2} -> 3
@@ -298,20 +195,20 @@ mod tests {
     }
 
     #[test]
-    fn rows_classify_kind_bytes_step_and_lane() {
+    fn kinds_classify_class_bytes_and_lane() {
         let fs = diamond();
-        assert_eq!(fs.row(0).class, OpClass::Copy);
-        assert_eq!(fs.row(0).bytes, 64);
-        assert_eq!(fs.row(0).step, Some(0));
-        assert_eq!(fs.row(0).rank, 0);
-        assert_eq!(fs.row(2).class, OpClass::Compute);
-        assert_eq!(fs.row(2).bytes, 0);
-        assert_eq!(fs.row(2).rank, 1);
+        let kind = |i: usize| fs.ops()[i].kind;
+        assert_eq!(kind(0).class(), OpClass::Copy);
+        assert_eq!(kind(0).bytes(), 64);
+        assert_eq!(kind(0).lane_rank(), RankId(0));
+        assert_eq!(kind(2).class(), OpClass::Compute);
+        assert_eq!(kind(2).bytes(), 0);
+        assert_eq!(kind(2).lane_rank(), RankId(1));
         // CMA transfers run on the destination CPU's lane.
-        assert_eq!(fs.row(3).class, OpClass::Cma);
-        assert_eq!(fs.row(3).rank, 1);
-        assert!(!fs.row(3).class.is_network());
-        assert_eq!(fs.row(3).class.name(), "cma");
+        assert_eq!(kind(3).class(), OpClass::Cma);
+        assert_eq!(kind(3).lane_rank(), RankId(1));
+        assert!(!kind(3).class().is_network());
+        assert_eq!(kind(3).class().name(), "cma");
         assert!(OpClass::Rails.is_network());
     }
 
@@ -335,7 +232,7 @@ mod tests {
     }
 
     #[test]
-    fn network_steps_have_network_rows() {
+    fn network_transfers_classify_onto_the_posting_lane() {
         let grid = ProcGrid::new(2, 1);
         let mut b = ScheduleBuilder::new(grid, "net");
         let s = b.private_buf(RankId(0), 32, "s");
@@ -361,10 +258,11 @@ mod tests {
             0,
         );
         let fs = b.finish().freeze();
-        assert_eq!(fs.row(0).class, OpClass::Rails);
-        assert_eq!(fs.row(0).rank, 0); // posting (source) rank
-        assert_eq!(fs.row(1).class, OpClass::Rail);
-        assert_eq!(fs.row(1).rank, 1);
-        assert!(fs.row(0).class.is_network());
+        let kind = |i: usize| fs.ops()[i].kind;
+        assert_eq!(kind(0).class(), OpClass::Rails);
+        assert_eq!(kind(0).lane_rank(), RankId(0)); // posting (source) rank
+        assert_eq!(kind(1).class(), OpClass::Rail);
+        assert_eq!(kind(1).lane_rank(), RankId(1));
+        assert!(kind(0).class().is_network());
     }
 }

@@ -62,12 +62,12 @@ mod validate;
 pub use buffer::{BufKind, BufferDecl, Loc};
 pub use builder::{Deps, RankCursors, ScheduleBuilder};
 pub use fingerprint::{Fingerprint, Fingerprinter};
-pub use frozen::{FrozenSchedule, OpClass, OpRow};
+pub use frozen::FrozenSchedule;
 pub use grid::ProcGrid;
 pub use ids::{BufId, GroupId, NodeId, OpId, RankId};
 pub use invariant::{InvariantProbe, Violation};
 pub use merge::{merge_parts, MergeError, MergePart, Merged};
-pub use op::{Channel, DType, Op, OpKind, OpLabel, RailSet, RedOp};
+pub use op::{Channel, DType, Op, OpClass, OpKind, OpLabel, RailSet, RedOp};
 pub use probe::{
     intersection_length, union_length, JsonlProbe, NullProbe, Probe, ResourceUtil, RunSummary,
     SummaryProbe, Tee,

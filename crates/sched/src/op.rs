@@ -212,24 +212,76 @@ impl OpKind {
         }
     }
 
+    /// Coarse classification for traces, probes and summaries.
+    pub fn class(&self) -> OpClass {
+        match self {
+            OpKind::Transfer { channel, .. } => match channel {
+                Channel::Cma => OpClass::Cma,
+                Channel::Rail(_) => OpClass::Rail,
+                Channel::AllRails => OpClass::Rails,
+            },
+            OpKind::Copy { .. } => OpClass::Copy,
+            OpKind::Reduce { .. } => OpClass::Reduce,
+            OpKind::Compute { .. } => OpClass::Compute,
+        }
+    }
+
+    /// The rank whose timeline lane the op belongs to: the posting
+    /// (source) rank for network transfers, the executing CPU's rank
+    /// otherwise.
+    pub fn lane_rank(&self) -> RankId {
+        match *self {
+            OpKind::Transfer {
+                src_rank,
+                channel: Channel::Rail(_) | Channel::AllRails,
+                ..
+            } => src_rank,
+            _ => self
+                .cpu_actor()
+                .expect("non-rail op always has a CPU actor"),
+        }
+    }
+
     /// Short kind name for traces and DOT dumps.
     pub fn kind_name(&self) -> &'static str {
+        self.class().name()
+    }
+}
+
+/// Coarse classification of an op for traces, probes and summaries —
+/// the partition [`OpKind::kind_name`] reports, as a dense enum.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum OpClass {
+    /// Intra-node kernel-assisted transfer (destination CPU does the work).
+    Cma,
+    /// Transfer pinned to one HCA rail.
+    Rail,
+    /// Transfer over the multi-rail pt2pt layer (striped or round-robin).
+    Rails,
+    /// CPU memcpy.
+    Copy,
+    /// CPU reduction.
+    Reduce,
+    /// Pure compute.
+    Compute,
+}
+
+impl OpClass {
+    /// Whether the HCA, not a CPU, performs the op (network lane).
+    #[inline]
+    pub fn is_network(self) -> bool {
+        matches!(self, OpClass::Rail | OpClass::Rails)
+    }
+
+    /// The short name [`OpKind::kind_name`] reports.
+    pub fn name(self) -> &'static str {
         match self {
-            OpKind::Transfer {
-                channel: Channel::Cma,
-                ..
-            } => "cma",
-            OpKind::Transfer {
-                channel: Channel::Rail(_),
-                ..
-            } => "rail",
-            OpKind::Transfer {
-                channel: Channel::AllRails,
-                ..
-            } => "rails",
-            OpKind::Copy { .. } => "copy",
-            OpKind::Reduce { .. } => "reduce",
-            OpKind::Compute { .. } => "compute",
+            OpClass::Cma => "cma",
+            OpClass::Rail => "rail",
+            OpClass::Rails => "rails",
+            OpClass::Copy => "copy",
+            OpClass::Reduce => "reduce",
+            OpClass::Compute => "compute",
         }
     }
 }

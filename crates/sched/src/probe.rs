@@ -137,7 +137,7 @@ pub struct NullProbe;
 impl Probe for NullProbe {}
 
 // ---------------------------------------------------------------------------
-// Interval arithmetic shared by summary sinks and metrics.
+// Interval arithmetic shared by the summary sink and the figure binaries.
 // ---------------------------------------------------------------------------
 
 /// Total length of the union of (possibly overlapping) `[start, end)`
@@ -261,18 +261,19 @@ impl<W: Write> Probe for JsonlProbe<W> {
             fs.n_ops(),
             fs.n_edges()
         ));
-        for (i, row) in fs.rows().iter().enumerate() {
-            let step = match row.step {
-                Some(s) => s.to_string(),
-                None => "null".into(),
+        for (i, op) in fs.ops().iter().enumerate() {
+            let step = if op.has_step() {
+                op.step.to_string()
+            } else {
+                "null".into()
             };
             self.line(format!(
                 "{{\"ev\":\"op\",\"op\":{},\"kind\":\"{}\",\"bytes\":{},\"step\":{},\"rank\":{},\"label\":\"{}\"}}",
                 i,
-                row.class.name(),
-                row.bytes,
+                op.kind.kind_name(),
+                op.kind.bytes(),
                 step,
-                row.rank,
+                op.kind.lane_rank().0,
                 json_escape(&fs.label(OpId::from(i)).to_string())
             ));
         }
@@ -385,6 +386,26 @@ pub struct ResourceUtil {
     pub utilization: f64,
 }
 
+impl ResourceUtil {
+    /// An end-of-run sample ([`Probe::resource_sample`]); `utilization`
+    /// stays 0 until [`ResourceUtil::settle`] learns the makespan.
+    pub fn sample(label: &str, bytes: f64, capacity: f64) -> Self {
+        ResourceUtil {
+            label: label.to_string(),
+            bytes,
+            capacity,
+            utilization: 0.0,
+        }
+    }
+
+    /// Fills in `utilization` for a run of `makespan` seconds (0 for an
+    /// empty run or a zero-capacity resource).
+    pub fn settle(&mut self, makespan: f64) {
+        let denom = self.capacity * makespan;
+        self.utilization = if denom > 0.0 { self.bytes / denom } else { 0.0 };
+    }
+}
+
 /// Digest of one run: busy times, network/CPU overlap and resource totals.
 #[derive(Debug, Clone, Default)]
 pub struct RunSummary {
@@ -453,8 +474,7 @@ impl SummaryProbe {
     pub fn finish(mut self) -> RunSummary {
         let makespan = self.makespan;
         for r in &mut self.resources {
-            let denom = r.capacity * makespan;
-            r.utilization = if denom > 0.0 { r.bytes / denom } else { 0.0 };
+            r.settle(makespan);
         }
         RunSummary {
             backend: self.backend,
@@ -476,7 +496,11 @@ impl Probe for SummaryProbe {
     fn begin_run(&mut self, fs: &FrozenSchedule, backend: &'static str) {
         self.backend = backend;
         self.schedule = fs.name().to_string();
-        self.is_net = fs.rows().iter().map(|r| r.class.is_network()).collect();
+        self.is_net = fs
+            .ops()
+            .iter()
+            .map(|o| o.kind.class().is_network())
+            .collect();
         // Compute ops burn CPU but move no data; they still count as CPU
         // lane time for the overlap metric (matches OpClass semantics).
         self.start = vec![f64::NAN; fs.n_ops()];
@@ -508,12 +532,8 @@ impl Probe for SummaryProbe {
     }
 
     fn resource_sample(&mut self, label: &str, bytes: f64, capacity: f64) {
-        self.resources.push(ResourceUtil {
-            label: label.to_string(),
-            bytes,
-            capacity,
-            utilization: 0.0,
-        });
+        self.resources
+            .push(ResourceUtil::sample(label, bytes, capacity));
     }
 
     fn end_run(&mut self, makespan: f64) {
@@ -634,6 +654,11 @@ mod tests {
         assert!((intersection_length(&a, &b) - 1.0).abs() < 1e-12);
         assert!((intersection_length(&b, &a) - 1.0).abs() < 1e-12);
         assert_eq!(intersection_length(&a, &[]), 0.0);
+        let wide = [(0.0, 4.0)];
+        assert!((intersection_length(&wide, &[(2.0, 6.0)]) - 2.0).abs() < 1e-12);
+        // Two non-empty sets that never overlap intersect to nothing.
+        assert_eq!(intersection_length(&wide, &[(10.0, 11.0)]), 0.0);
+        assert_eq!(intersection_length(&[(10.0, 11.0)], &wide), 0.0);
     }
 
     #[test]

@@ -44,29 +44,6 @@ impl ReadySet {
         self.remaining = fs.n_ops();
     }
 
-    /// A driver seeded with a non-root frontier: every op in `completed` is
-    /// already retired (its successors' indegrees pre-decremented), and the
-    /// returned frontier holds the not-yet-completed ops whose dependencies
-    /// are all in `completed`, in op-id order — exactly the set a fresh
-    /// driver replaying `completed` through [`ReadySet::complete`] would
-    /// have released but not completed. This is the resume path for
-    /// journaled execution: the indegree vector *is* the recoverable
-    /// frontier, so a completion journal is all the state a restart needs.
-    ///
-    /// `completed` must be dependency-closed (every predecessor of a
-    /// completed op is itself completed) and duplicate-free; callers
-    /// validate journals before seeding (debug builds assert it).
-    pub fn from_completed(fs: &FrozenSchedule, completed: &[u32]) -> (Self, Vec<u32>) {
-        let (indeg, frontier) = seed_frontier(fs, completed);
-        (
-            ReadySet {
-                indeg,
-                remaining: fs.n_ops() - completed.len(),
-            },
-            frontier,
-        )
-    }
-
     /// Records `op` as finished and invokes `on_ready` for every successor
     /// whose dependencies are now all satisfied, in CSR (creation) order.
     pub fn complete(&mut self, fs: &FrozenSchedule, op: u32, mut on_ready: impl FnMut(u32)) {
@@ -95,33 +72,6 @@ impl ReadySet {
     }
 }
 
-/// Computes the seeded indegree vector and resume frontier shared by
-/// [`ReadySet::from_completed`] and [`AtomicReadySet::from_completed`].
-fn seed_frontier(fs: &FrozenSchedule, completed: &[u32]) -> (Vec<u32>, Vec<u32>) {
-    let n = fs.n_ops();
-    let mut done = vec![false; n];
-    for &c in completed {
-        debug_assert!((c as usize) < n, "completed op {c} out of range");
-        debug_assert!(!done[c as usize], "op {c} completed twice");
-        done[c as usize] = true;
-    }
-    let mut indeg: Vec<u32> = fs.indegrees().collect();
-    for &c in completed {
-        debug_assert!(
-            fs.preds(c).iter().all(|&p| done[p as usize]),
-            "completed set is not dependency-closed at op {c}"
-        );
-        for &s in fs.succs(c) {
-            debug_assert!(indeg[s as usize] > 0, "successor {s} over-released");
-            indeg[s as usize] -= 1;
-        }
-    }
-    let frontier: Vec<u32> = (0..n as u32)
-        .filter(|&i| !done[i as usize] && indeg[i as usize] == 0)
-        .collect();
-    (indeg, frontier)
-}
-
 /// Lock-free readiness driver for concurrent completions.
 ///
 /// Counters are decremented with `fetch_sub(AcqRel)`: the thread that takes a
@@ -140,16 +90,41 @@ impl AtomicReadySet {
         }
     }
 
-    /// The concurrent analogue of [`ReadySet::from_completed`]: a driver
-    /// seeded with `completed` already retired, plus the resume frontier
-    /// (not-yet-completed ops whose dependencies are all completed, in
-    /// op-id order). Seeding happens before any worker touches the
+    /// A driver seeded with a non-root frontier: every op in `completed` is
+    /// already retired (its successors' indegrees pre-decremented), and the
+    /// returned frontier holds the not-yet-completed ops whose dependencies
+    /// are all in `completed`, in op-id order — exactly the set a fresh
+    /// driver replaying `completed` would have released but not completed.
+    /// This is the resume path for journaled execution: the indegree vector
+    /// *is* the recoverable frontier, so a completion journal is all the
+    /// state a restart needs. Seeding happens before any worker touches the
     /// counters, so plain stores suffice.
     ///
-    /// `completed` must be dependency-closed and duplicate-free (the
-    /// journal layer validates this; debug builds assert it).
+    /// `completed` must be dependency-closed (every predecessor of a
+    /// completed op is itself completed) and duplicate-free; the journal
+    /// layer validates this and debug builds assert it.
     pub fn from_completed(fs: &FrozenSchedule, completed: &[u32]) -> (Self, Vec<u32>) {
-        let (indeg, frontier) = seed_frontier(fs, completed);
+        let n = fs.n_ops();
+        let mut done = vec![false; n];
+        for &c in completed {
+            debug_assert!((c as usize) < n, "completed op {c} out of range");
+            debug_assert!(!done[c as usize], "op {c} completed twice");
+            done[c as usize] = true;
+        }
+        let mut indeg: Vec<u32> = fs.indegrees().collect();
+        for &c in completed {
+            debug_assert!(
+                fs.preds(c).iter().all(|&p| done[p as usize]),
+                "completed set is not dependency-closed at op {c}"
+            );
+            for &s in fs.succs(c) {
+                debug_assert!(indeg[s as usize] > 0, "successor {s} over-released");
+                indeg[s as usize] -= 1;
+            }
+        }
+        let frontier: Vec<u32> = (0..n as u32)
+            .filter(|&i| !done[i as usize] && indeg[i as usize] == 0)
+            .collect();
         (
             AtomicReadySet {
                 indeg: indeg.into_iter().map(AtomicU32::new).collect(),
@@ -268,47 +243,34 @@ mod tests {
         for k in 0..=order.len() {
             let completed = &order[..k];
             let want = replay_frontier(&fs, completed);
-            let (rs, got) = ReadySet::from_completed(&fs, completed);
-            assert_eq!(got, want, "ReadySet frontier diverged at prefix {k}");
-            assert_eq!(rs.remaining(), fs.n_ops() - k);
-            let (ars, agot) = AtomicReadySet::from_completed(&fs, completed);
-            assert_eq!(agot, want, "AtomicReadySet frontier diverged at {k}");
+            let (ars, got) = AtomicReadySet::from_completed(&fs, completed);
+            assert_eq!(got, want, "seeded frontier diverged at prefix {k}");
             // Draining the seeded driver visits exactly the unfinished ops.
             let mut rest: Vec<u32> = got.clone();
             let mut i = 0;
-            let mut rs = rs;
             while i < rest.len() {
                 let op = rest[i];
-                rs.complete(&fs, op, |s| rest.push(s));
+                ars.complete(&fs, op, |s| rest.push(s));
                 i += 1;
             }
-            assert!(rs.is_done());
-            assert_eq!(rest.len(), fs.n_ops() - k);
-            // And the atomic driver releases the same suffix set.
-            let mut arest: Vec<u32> = agot.clone();
-            let mut i = 0;
-            while i < arest.len() {
-                let op = arest[i];
-                ars.complete(&fs, op, |s| arest.push(s));
-                i += 1;
-            }
-            let (mut a, mut b) = (rest, arest);
-            a.sort_unstable();
-            b.sort_unstable();
-            assert_eq!(a, b);
+            rest.sort_unstable();
+            let mut unfinished: Vec<u32> = fs
+                .topo_order()
+                .filter(|op| !completed.contains(op))
+                .collect();
+            unfinished.sort_unstable();
+            assert_eq!(rest, unfinished);
         }
     }
 
     #[test]
     fn empty_and_full_completed_sets_seed_trivially() {
         let fs = chain_with_join();
-        let (rs, frontier) = ReadySet::from_completed(&fs, &[]);
+        let (_, frontier) = AtomicReadySet::from_completed(&fs, &[]);
         assert_eq!(frontier, fs.roots());
-        assert_eq!(rs.remaining(), fs.n_ops());
         let all: Vec<u32> = drain(&fs);
-        let (rs, frontier) = ReadySet::from_completed(&fs, &all);
+        let (_, frontier) = AtomicReadySet::from_completed(&fs, &all);
         assert!(frontier.is_empty());
-        assert!(rs.is_done());
     }
 
     #[test]

@@ -38,7 +38,7 @@ pub struct ScheduleStats {
 /// The op table is the execution form already: each [`Op`] is a plain
 /// `{id, kind, step}` row, and the dependency edges live in one CSR arena
 /// (`pred_off`/`pred`) the builder appends to. [`Schedule::freeze`] only
-/// adds the successor index and the per-op summary rows.
+/// adds the successor index and the roots.
 #[derive(Debug, Clone)]
 pub struct Schedule {
     pub(crate) grid: ProcGrid,

@@ -24,8 +24,8 @@
 //!
 //! Every run narrates itself through a [`Probe`] ([`Simulator::run_probed`]):
 //! op spans, flow-rate changes, water-fill recomputations and resource
-//! totals. [`Simulator::run`] plugs in the no-op sink; `trace: true` plugs in
-//! the ASCII-timeline sink ([`crate::trace::TraceBuilder`]).
+//! totals. [`Simulator::run`] plugs in the no-op sink; the ASCII timeline
+//! is the [`crate::trace::TraceBuilder`] sink.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -36,7 +36,6 @@ use crate::cost::{CostModel, FlowPlan, RailRoute};
 use crate::fault::{FaultEvent, FaultSpec};
 use crate::resources::{ResourceId, ResourceMap};
 use crate::topology::ClusterSpec;
-use crate::trace::{Trace, TraceBuilder};
 use crate::waterfill::{FillError, FlowSpec, IncrementalFiller};
 
 /// An error preventing simulation.
@@ -94,60 +93,27 @@ impl From<mha_sched::ValidateError> for SimError {
     }
 }
 
-/// Simulation options.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SimConfig {
-    /// Record a per-op [`Trace`] (costs memory proportional to op count).
-    pub trace: bool,
-}
-
-/// The outcome of simulating one schedule.
+/// The outcome of simulating one schedule. Timelines, utilization and
+/// resource labels come from [`Probe`] sinks plugged into
+/// [`Simulator::run_probed`] (`TraceBuilder`, [`mha_sched::SummaryProbe`]).
 #[derive(Debug, Clone)]
 pub struct SimResult {
     /// Completion time of the whole schedule, in seconds.
     pub makespan: f64,
     /// Completion time of each op, indexed like `Schedule::ops()`.
     pub op_end: Vec<f64>,
-    /// Per-op timeline, if requested via [`SimConfig::trace`].
-    pub trace: Option<Trace>,
     /// Events processed (diagnostics).
     pub events: u64,
     /// Peak number of simultaneously active flows.
     pub max_concurrent_flows: usize,
-    /// Bytes that crossed each resource (for utilization reports).
+    /// Bytes that crossed each resource, in resource-map order.
     pub resource_bytes: Vec<f64>,
-    /// Capacity of each resource (bytes/s), aligned with `resource_bytes`.
-    pub resource_capacity: Vec<f64>,
-    /// Labels of the resources, aligned with `resource_bytes`.
-    pub resource_labels: Vec<String>,
 }
 
 impl SimResult {
     /// Makespan in microseconds — the unit the paper reports.
     pub fn latency_us(&self) -> f64 {
         self.makespan * 1e6
-    }
-
-    /// Utilization (0..=1) of each resource over the makespan.
-    pub fn utilization(&self) -> Vec<f64> {
-        self.resource_bytes
-            .iter()
-            .zip(&self.resource_capacity)
-            .map(|(b, c)| {
-                if self.makespan > 0.0 {
-                    b / (c * self.makespan)
-                } else {
-                    0.0
-                }
-            })
-            .collect()
-    }
-
-    /// The busiest resource and its utilization.
-    pub fn bottleneck(&self) -> Option<(String, f64)> {
-        let util = self.utilization();
-        let (i, u) = util.iter().enumerate().max_by(|a, b| a.1.total_cmp(b.1))?;
-        Some((self.resource_labels[i].clone(), *u))
     }
 }
 
@@ -665,9 +631,9 @@ impl EngineState {
 /// inner resource vector), per-resource flow registries, readiness driver,
 /// water-fill scratch and memo, flow-plan buffer and the resource map.
 ///
-/// Repeated [`Simulator::run_in`] calls through one arena allocate nothing
-/// in the engine after the first (warm-up) run on a given schedule shape —
-/// only the returned [`SimResult`] is built fresh. Results are bit-identical
+/// Repeated [`Simulator::run_probed_in`] calls through one arena allocate
+/// nothing in the engine after the first (warm-up) run on a given schedule
+/// shape — only the returned [`SimResult`] is built fresh. Results are bit-identical
 /// to [`Simulator::run`]: every observable field is reset to its
 /// cold-start value and flow slots are recycled in cold-run index order.
 ///
@@ -789,32 +755,8 @@ impl Simulator {
         self.run_probed(sch, &mut NullProbe)
     }
 
-    /// Simulates `sch` reusing `arena`'s allocations; bit-identical to
-    /// [`Simulator::run`] (see [`EngineArena`]). This is the hot path the
-    /// campaign runner replays cached schedules through.
-    pub fn run_in(
-        &self,
-        sch: &FrozenSchedule,
-        arena: &mut EngineArena,
-    ) -> Result<SimResult, SimError> {
-        self.run_probed_in(sch, &mut NullProbe, arena)
-    }
-
-    /// Simulates `sch` with explicit options.
-    pub fn run_with(&self, sch: &FrozenSchedule, config: SimConfig) -> Result<SimResult, SimError> {
-        if config.trace {
-            let mut tb = TraceBuilder::new();
-            let mut r = self.run_probed(sch, &mut tb)?;
-            r.trace = Some(tb.finish(sch));
-            Ok(r)
-        } else {
-            self.run_probed(sch, &mut NullProbe)
-        }
-    }
-
     /// Simulates `sch`, narrating the run through `probe` (see
-    /// [`mha_sched::probe`] for the available sinks). The returned result
-    /// never carries a [`Trace`]; use [`Simulator::run_with`] for that.
+    /// [`mha_sched::probe`] for the available sinks).
     ///
     /// When check mode is on ([`set_check_enabled`] — e.g. via a `fig*`
     /// binary's `--check` flag), every run is additionally audited by an
@@ -830,8 +772,8 @@ impl Simulator {
 
     /// [`Simulator::run_probed`] through a reusable [`EngineArena`].
     ///
-    /// Generic over the probe so the no-probe path ([`Simulator::run_in`],
-    /// the campaign hot loop) monomorphizes with [`NullProbe`] and every
+    /// Generic over the probe so the no-probe path (the campaign hot loop
+    /// passes [`NullProbe`]) monomorphizes and every
     /// per-rate-change callback inlines to nothing — the event loop makes
     /// hundreds of thousands of probe calls per run, and a virtual dispatch
     /// on each is measurable. `&mut dyn Probe` still works (`dyn Probe`
@@ -1177,12 +1119,9 @@ impl Simulator {
         Ok(SimResult {
             makespan,
             op_end,
-            trace: None,
             events,
             max_concurrent_flows: st.max_active,
             resource_bytes: st.resource_bytes.clone(),
-            resource_capacity: rmap.capacities().to_vec(),
-            resource_labels: cache.labels.clone(),
         })
     }
 }
@@ -1527,11 +1466,18 @@ mod tests {
             &[],
             0,
         );
-        let r = sim().run(&b.finish().freeze()).unwrap();
-        for u in r.utilization() {
-            assert!((0.0..=1.0 + 1e-9).contains(&u));
+        let mut probe = mha_sched::SummaryProbe::new();
+        sim().run_probed(&b.finish().freeze(), &mut probe).unwrap();
+        let summary = probe.finish();
+        for r in &summary.resources {
+            assert!((0.0..=1.0 + 1e-9).contains(&r.utilization), "{r:?}");
         }
-        let (label, util) = r.bottleneck().unwrap();
+        let busiest = summary
+            .resources
+            .iter()
+            .max_by(|a, b| a.utilization.total_cmp(&b.utilization))
+            .unwrap();
+        let (label, util) = (&busiest.label, busiest.utilization);
         assert!(
             label.starts_with("tx") || label.starts_with("rx"),
             "{label}"
@@ -1567,14 +1513,7 @@ mod tests {
             r.makespan
         );
         // Both rails carried traffic.
-        let tx_bytes: f64 = r
-            .resource_labels
-            .iter()
-            .zip(&r.resource_bytes)
-            .filter(|(l, _)| l.starts_with("tx(n0"))
-            .map(|(_, b)| *b)
-            .sum();
-        assert!((tx_bytes - len as f64).abs() < 1.0);
+        assert!((bytes_on(&r, "tx(n0") - len as f64).abs() < 1.0);
     }
 
     #[test]
@@ -1750,7 +1689,7 @@ mod tests {
     }
 
     #[test]
-    fn trace_records_spans_when_enabled() {
+    fn trace_builder_records_spans() {
         let grid = ProcGrid::single_node(2);
         let mut b = ScheduleBuilder::new(grid, "tr");
         let s = b.private_buf(RankId(0), 1024, "s");
@@ -1766,15 +1705,14 @@ mod tests {
             0,
         );
         let sch = b.finish().freeze();
-        let r = sim().run_with(&sch, SimConfig { trace: true }).unwrap();
-        let t = r.trace.unwrap();
+        let mut tb = crate::trace::TraceBuilder::new();
+        sim().run_probed(&sch, &mut tb).unwrap();
+        let t = tb.finish(&sch);
         assert_eq!(t.spans().len(), 1);
         let sp = t.spans()[0];
         assert_eq!(sp.ready, 0.0);
         assert!(sp.start > sp.ready);
         assert!(sp.end > sp.start);
-        let no_trace = sim().run(&sch).unwrap();
-        assert!(no_trace.trace.is_none());
     }
 
     /// One inter-node transfer on the given channel, for fault tests.
@@ -1796,11 +1734,14 @@ mod tests {
         b.finish().freeze()
     }
 
+    /// Bytes a run on the 2×1 Thor grid of [`rail_sch`] moved through the
+    /// resources whose label starts with `prefix`.
     fn bytes_on(r: &SimResult, prefix: &str) -> f64 {
-        r.resource_labels
+        let rmap = ResourceMap::new(&ProcGrid::new(2, 1), &ClusterSpec::thor());
+        r.resource_bytes
             .iter()
-            .zip(&r.resource_bytes)
-            .filter(|(l, _)| l.starts_with(prefix))
+            .enumerate()
+            .filter(|&(i, _)| rmap.label(ResourceId(i as u32)).starts_with(prefix))
             .map(|(_, b)| *b)
             .sum()
     }
@@ -2025,7 +1966,7 @@ mod tests {
         let cold = sim.run(&sch).unwrap();
         let mut arena = EngineArena::new();
         for rep in 0..5 {
-            let warm = sim.run_in(&sch, &mut arena).unwrap();
+            let warm = sim.run_probed_in(&sch, &mut NullProbe, &mut arena).unwrap();
             assert_eq!(
                 warm.makespan.to_bits(),
                 cold.makespan.to_bits(),
@@ -2048,7 +1989,12 @@ mod tests {
         let a = mixed_sched();
         let sim2 = sim();
         let want_a = sim2.run(&a).unwrap().makespan;
-        assert_eq!(sim2.run_in(&a, &mut arena).unwrap().makespan, want_a);
+        assert_eq!(
+            sim2.run_probed_in(&a, &mut NullProbe, &mut arena)
+                .unwrap()
+                .makespan,
+            want_a
+        );
 
         // Different grid through the same arena.
         let grid = ProcGrid::new(4, 1);
@@ -2068,15 +2014,31 @@ mod tests {
         );
         let other = b.finish().freeze();
         let want_b = sim2.run(&other).unwrap().makespan;
-        assert_eq!(sim2.run_in(&other, &mut arena).unwrap().makespan, want_b);
+        assert_eq!(
+            sim2.run_probed_in(&other, &mut NullProbe, &mut arena)
+                .unwrap()
+                .makespan,
+            want_b
+        );
 
         // Different cluster spec (single rail) through the same arena.
         let single = Simulator::new(ClusterSpec::thor_single_rail()).unwrap();
         let want_c = single.run(&other).unwrap().makespan;
-        assert_eq!(single.run_in(&other, &mut arena).unwrap().makespan, want_c);
+        assert_eq!(
+            single
+                .run_probed_in(&other, &mut NullProbe, &mut arena)
+                .unwrap()
+                .makespan,
+            want_c
+        );
 
         // And back to the first shape again.
-        assert_eq!(sim2.run_in(&a, &mut arena).unwrap().makespan, want_a);
+        assert_eq!(
+            sim2.run_probed_in(&a, &mut NullProbe, &mut arena)
+                .unwrap()
+                .makespan,
+            want_a
+        );
     }
 
     #[test]
@@ -2223,7 +2185,7 @@ mod tests {
         let (s, sch) = (sim(), mixed_sched());
         let mut arena = EngineArena::new();
         for _ in 0..3 {
-            s.run_in(&sch, &mut arena).unwrap();
+            s.run_probed_in(&sch, &mut NullProbe, &mut arena).unwrap();
         }
         assert!(arena.st.filler.stats().hits > 0, "memo never replayed");
     }

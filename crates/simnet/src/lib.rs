@@ -38,7 +38,6 @@ mod calendar;
 mod cost;
 mod engine;
 mod fault;
-mod metrics;
 mod microbench;
 mod numa;
 mod resources;
@@ -48,16 +47,14 @@ mod waterfill;
 
 pub use cost::{CostModel, FlowPlan, RailRoute};
 pub use engine::{
-    check_enabled, set_check_enabled, EngineArena, SimConfig, SimError, SimResult, Simulator,
-    RATE_EPS,
+    check_enabled, set_check_enabled, EngineArena, SimError, SimResult, Simulator, RATE_EPS,
 };
 pub use fault::{FaultEvent, FaultKind, FaultSpec, DEFAULT_RETRY_TIMEOUT};
-pub use metrics::{kind_breakdown, phase_breakdown, KindBreakdown};
 pub use microbench::{pt2pt_bandwidth_mbps, pt2pt_latency_us, size_sweep, Placement};
 pub use numa::NumaSpec;
 pub use resources::{ResourceId, ResourceMap};
 pub use topology::ClusterSpec;
-pub use trace::{intersection_length, union_length, Lane, OpSpan, SpanMeta, Trace, TraceBuilder};
+pub use trace::{Lane, OpSpan, SpanMeta, Trace, TraceBuilder};
 pub use waterfill::{
     max_min_rates, FillError, FillStats, FlowSpec, IncrementalFiller, WaterFiller,
 };

@@ -6,16 +6,11 @@
 //! and can render them as a Gantt chart grouped per rank (CPU lane and
 //! network lane), or dump CSV for external plotting.
 //!
-//! [`TraceBuilder`] is the [`Probe`] sink that collects those spans: the
-//! engine no longer records timeline arrays itself — `trace: true` simply
-//! plugs this sink into the probed run.
+//! [`TraceBuilder`] is the [`Probe`] sink that collects those spans: plug
+//! it into `Simulator::run_probed` (or an executor's `run_probed`) and
+//! finish it against the schedule.
 
-use mha_sched::{Channel, FrozenSchedule, OpId, OpKind, Probe, RankId, Schedule};
-
-// Interval arithmetic lives with the probe layer now; re-exported here so
-// existing `mha_simnet::trace::{union_length, intersection_length}` callers
-// keep compiling.
-pub use mha_sched::probe::{intersection_length, union_length};
+use mha_sched::{FrozenSchedule, OpId, OpKind, Probe, RankId, Schedule};
 
 /// The `ready/start/end` times (seconds) of one op.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -73,17 +68,10 @@ pub struct Trace {
 }
 
 fn lane_of(kind: &OpKind) -> Lane {
-    match kind {
-        OpKind::Transfer {
-            src_rank,
-            channel: Channel::Rail(_) | Channel::AllRails,
-            ..
-        } => Lane::Net(*src_rank),
-        other => Lane::Cpu(
-            other
-                .cpu_actor()
-                .expect("non-rail op always has a CPU actor"),
-        ),
+    if kind.class().is_network() {
+        Lane::Net(kind.lane_rank())
+    } else {
+        Lane::Cpu(kind.lane_rank())
     }
 }
 
@@ -255,7 +243,7 @@ impl Probe for TraceBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mha_sched::{Loc, ProcGrid, ScheduleBuilder};
+    use mha_sched::{Channel, Loc, ProcGrid, ScheduleBuilder};
 
     fn sample_trace() -> Trace {
         let grid = ProcGrid::new(2, 1);
@@ -326,23 +314,6 @@ mod tests {
         let t = sample_trace();
         let rails = t.intervals_where(|_, m| m.kind == "rail");
         assert_eq!(rails, vec![(1.0, 3.0)]);
-    }
-
-    #[test]
-    fn union_length_merges_overlaps() {
-        assert_eq!(union_length(&[]), 0.0);
-        assert_eq!(union_length(&[(0.0, 2.0), (1.0, 3.0)]), 3.0);
-        assert_eq!(union_length(&[(0.0, 1.0), (2.0, 3.0)]), 2.0);
-        assert_eq!(union_length(&[(5.0, 4.0)]), 0.0); // degenerate dropped
-    }
-
-    #[test]
-    fn intersection_length_measures_overlap() {
-        let a = [(0.0, 4.0)];
-        let b = [(2.0, 6.0)];
-        assert!((intersection_length(&a, &b) - 2.0).abs() < 1e-12);
-        let disjoint = [(10.0, 11.0)];
-        assert_eq!(intersection_length(&a, &disjoint), 0.0);
     }
 
     #[test]

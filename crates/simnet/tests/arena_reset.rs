@@ -4,7 +4,7 @@
 //! audit. This is the property the campaign runner's per-worker arenas
 //! lean on.
 
-use mha_sched::{Channel, InvariantProbe, Loc, ProcGrid, RankId, ScheduleBuilder};
+use mha_sched::{Channel, InvariantProbe, Loc, NullProbe, ProcGrid, RankId, ScheduleBuilder};
 use mha_simnet::{ClusterSpec, EngineArena, Simulator};
 
 /// A small but non-trivial schedule: a 4-rank inter-node ring step with a
@@ -87,10 +87,20 @@ fn one_arena_serves_different_schedules_and_clusters() {
     let mut arena = EngineArena::new();
     for round in 0..5 {
         let replayed = [
-            thor.run_in(&small, &mut arena).unwrap().makespan,
-            thor.run_in(&big, &mut arena).unwrap().makespan,
-            single.run_in(&small, &mut arena).unwrap().makespan,
-            single.run_in(&big, &mut arena).unwrap().makespan,
+            thor.run_probed_in(&small, &mut NullProbe, &mut arena)
+                .unwrap()
+                .makespan,
+            thor.run_probed_in(&big, &mut NullProbe, &mut arena)
+                .unwrap()
+                .makespan,
+            single
+                .run_probed_in(&small, &mut NullProbe, &mut arena)
+                .unwrap()
+                .makespan,
+            single
+                .run_probed_in(&big, &mut NullProbe, &mut arena)
+                .unwrap()
+                .makespan,
         ];
         for (i, (f, r)) in fresh.iter().zip(&replayed).enumerate() {
             assert_eq!(

@@ -44,7 +44,7 @@ pub use metrics::{
 };
 pub use placement::{place, placement_digest, PlacementPolicy};
 pub use run::{
-    default_builder, run_jobs, run_traffic, tenant_jobs, BuildJob, JobRecord, ResourceUse,
-    TrafficReport, TrafficSpec,
+    default_builder, run_jobs, run_traffic, tenant_jobs, BuildJob, JobRecord, TrafficReport,
+    TrafficSpec,
 };
 pub use workload::{WorkloadEntry, WorkloadMix};

@@ -14,7 +14,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use mha_sched::{merge_parts, probe::Probe, FrozenSchedule, MergePart, ProcGrid};
+use mha_sched::{merge_parts, probe::Probe, FrozenSchedule, MergePart, ProcGrid, ResourceUtil};
 use mha_simnet::{ClusterSpec, SimResult, Simulator};
 
 use crate::arrival::{sample_jobs, Arrival, JobSpec};
@@ -100,17 +100,6 @@ impl JobRecord {
     }
 }
 
-/// Aggregate use of one simulator resource over the run.
-#[derive(Debug, Clone)]
-pub struct ResourceUse {
-    /// Resource label (e.g. `tx(n3,r1)`).
-    pub label: String,
-    /// Bytes that crossed it.
-    pub bytes: f64,
-    /// Its capacity in bytes/s.
-    pub capacity: f64,
-}
-
 /// The outcome of one traffic run.
 #[derive(Debug, Clone)]
 pub struct TrafficReport {
@@ -120,21 +109,22 @@ pub struct TrafficReport {
     pub makespan: f64,
     /// Tenants the scenario declared (some may have zero jobs).
     pub tenants: u32,
-    /// Per-resource aggregate bytes/capacity (the oracle's capacity
-    /// audit reads these).
-    pub resources: Vec<ResourceUse>,
+    /// Per-resource bytes, capacity and utilization, in resource-map
+    /// order (the oracle's capacity audit reads these).
+    pub resources: Vec<ResourceUtil>,
     /// Events the engine processed (diagnostics).
     pub events: u64,
 }
 
 /// Per-tenant accounting probe: records each op's ready and end times so
-/// job arrivals/completions can be attributed through the merge spans.
-/// Flow-level callbacks stay off (`wants_flows = false`) — the always-on
-/// op lifecycle plus the end-of-run resource samples carry everything
-/// the tenant metrics need.
+/// job arrivals/completions can be attributed through the merge spans,
+/// plus the end-of-run resource samples. Flow-level callbacks stay off
+/// (`wants_flows = false`) — the always-on op lifecycle plus the resource
+/// samples carry everything the tenant metrics need.
 struct TenantProbe {
     ready: Vec<f64>,
     end: Vec<f64>,
+    resources: Vec<ResourceUtil>,
 }
 
 impl TenantProbe {
@@ -142,6 +132,7 @@ impl TenantProbe {
         TenantProbe {
             ready: vec![0.0; n_ops],
             end: vec![0.0; n_ops],
+            resources: Vec::new(),
         }
     }
 }
@@ -153,6 +144,17 @@ impl Probe for TenantProbe {
 
     fn op_end(&mut self, op: u32, t: f64) {
         self.end[op as usize] = t;
+    }
+
+    fn resource_sample(&mut self, label: &str, bytes: f64, capacity: f64) {
+        self.resources
+            .push(ResourceUtil::sample(label, bytes, capacity));
+    }
+
+    fn end_run(&mut self, makespan: f64) {
+        for r in &mut self.resources {
+            r.settle(makespan);
+        }
     }
 }
 
@@ -239,23 +241,11 @@ pub fn run_jobs(
         });
     }
 
-    let resources = res
-        .resource_labels
-        .iter()
-        .zip(&res.resource_bytes)
-        .zip(&res.resource_capacity)
-        .map(|((label, &bytes), &capacity)| ResourceUse {
-            label: label.clone(),
-            bytes,
-            capacity,
-        })
-        .collect();
-
     Ok(TrafficReport {
         jobs: records,
         makespan: res.makespan,
         tenants: spec.tenant_count(),
-        resources,
+        resources: probe.resources,
         events: res.events,
     })
 }

@@ -7,8 +7,15 @@
 //! ```
 
 use mha::collectives::{build, AlgoConfig, Family};
-use mha::sched::ProcGrid;
-use mha::simnet::{ClusterSpec, SimConfig, Simulator};
+use mha::sched::{FrozenSchedule, ProcGrid};
+use mha::simnet::{ClusterSpec, Simulator, TraceBuilder};
+
+/// Simulates `sch` with the timeline sink plugged in and renders it.
+fn timeline(sim: &Simulator, sch: &FrozenSchedule) -> String {
+    let mut tb = TraceBuilder::new();
+    sim.run_probed(sch, &mut tb).unwrap();
+    tb.finish(sch).render_ascii(96)
+}
 
 fn main() {
     let spec = ClusterSpec::thor();
@@ -17,15 +24,11 @@ fn main() {
     let msg = 1 << 20;
 
     let ring = build(&AlgoConfig::flat(Family::Ring), grid, msg, &spec).unwrap();
-    let res = sim
-        .run_with(&ring.sched, SimConfig { trace: true })
-        .unwrap();
     println!("flat Ring Allgather, 2 nodes x 2 PPN, 1 MB (the paper's Figure 2):");
-    println!("{}", res.trace.unwrap().render_ascii(96));
+    println!("{}", timeline(&sim, &ring.sched));
 
     let mha = build(&AlgoConfig::default(), grid, msg, &spec).unwrap();
-    let res = sim.run_with(&mha.sched, SimConfig { trace: true }).unwrap();
     println!("hierarchical MHA-inter on the same problem:");
-    println!("{}", res.trace.unwrap().render_ascii(96));
+    println!("{}", timeline(&sim, &mha.sched));
     println!("legend: c = CMA transfer, r = rail transfer, o = memcpy, . = idle");
 }

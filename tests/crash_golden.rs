@@ -9,9 +9,7 @@
 //! assertion failure.
 
 use mha::collectives::{build, AlgoConfig};
-use mha::exec::{
-    resume_single, run_single, run_single_killed, BufferStore, CompletionJournal, ExecError,
-};
+use mha::exec::{run, run_journaled, BufferStore, CompletionJournal, ExecError, KillPlan, Mode};
 use mha::sched::{FrozenSchedule, ProcGrid};
 use mha::simnet::ClusterSpec;
 
@@ -53,7 +51,13 @@ fn canonical_kill_resume_run_is_bit_identical() {
     let k = sch.n_ops() / 2;
     assert_eq!(k, WANT_KILL);
     let journal = CompletionJournal::for_schedule(sch);
-    match run_single_killed(sch, &store, &journal, k) {
+    match run_journaled(
+        sch,
+        &store,
+        Mode::Single,
+        &journal,
+        Some(&KillPlan::new(k, vec![0])),
+    ) {
         Err(ExecError::Killed { done, total }) => {
             assert_eq!((done, total), (WANT_KILL, WANT_OPS));
         }
@@ -65,7 +69,7 @@ fn canonical_kill_resume_run_is_bit_identical() {
         "journal length at the kill drifted"
     );
 
-    resume_single(sch, &store, &journal).unwrap();
+    run_journaled(sch, &store, Mode::Single, &journal, None).unwrap();
     assert!(journal.is_complete());
 
     // The recovered bytes must equal an unfailed run...
@@ -73,7 +77,7 @@ fn canonical_kill_resume_run_is_bit_identical() {
     for (rank, &buf) in built.send.iter().enumerate() {
         ref_store.fill(buf, 0, &mha::exec::rank_pattern(rank, built.msg));
     }
-    run_single(sch, &ref_store).unwrap();
+    run(sch, &ref_store, Mode::Single).unwrap();
     assert_eq!(
         store_hash(sch, &store),
         store_hash(sch, &ref_store),

@@ -123,7 +123,7 @@ fn simulator_and_executor_agree_on_schedule_structure() {
     let sim = Simulator::new(spec.clone()).unwrap();
     let built = build(&AlgoConfig::default(), ProcGrid::new(2, 3), 32, &spec).unwrap();
     let store = mha::exec::BufferStore::new(&built.sched);
-    mha::exec::run_threaded(&built.sched, &store, 4).unwrap();
+    mha::exec::run(&built.sched, &store, Mode::Threaded(4)).unwrap();
     sim.run(&built.sched).unwrap();
 }
 
@@ -138,10 +138,9 @@ fn trace_covers_every_op_and_is_consistent() {
         &spec,
     )
     .unwrap();
-    let res = sim
-        .run_with(&built.sched, mha::simnet::SimConfig { trace: true })
-        .unwrap();
-    let trace = res.trace.unwrap();
+    let mut tb = mha::simnet::TraceBuilder::new();
+    let res = sim.run_probed(&built.sched, &mut tb).unwrap();
+    let trace = tb.finish(&built.sched);
     assert_eq!(trace.spans().len(), built.sched.ops().len());
     for span in trace.spans() {
         assert!(span.ready <= span.start);

@@ -5,7 +5,7 @@ use mha::collectives::mha::{InterAlgo, MhaInterConfig, Offload};
 use mha::collectives::{
     build, build_ring_allreduce, AlgoConfig, AllgatherPhase, BuildError, Family,
 };
-use mha::exec::ExecError;
+use mha::exec::{ExecError, Mode};
 use mha::sched::{Channel, Loc, ProcGrid, RankId, ScheduleBuilder, ValidateError};
 use mha::simnet::{ClusterSpec, SimError, Simulator};
 
@@ -160,13 +160,13 @@ fn executors_reject_structurally_broken_schedules() {
     let sch = b.finish().freeze();
     let store = mha::exec::BufferStore::new(&sch);
     assert!(matches!(
-        mha::exec::run_single(&sch, &store),
+        mha::exec::run(&sch, &store, Mode::Single),
         Err(ExecError::InvalidSchedule(
             ValidateError::CmaAcrossNodes { .. }
         ))
     ));
     assert!(matches!(
-        mha::exec::run_threaded(&sch, &store, 2),
+        mha::exec::run(&sch, &store, Mode::Threaded(2)),
         Err(ExecError::InvalidSchedule(
             ValidateError::CmaAcrossNodes { .. }
         ))
@@ -213,14 +213,8 @@ fn degenerate_layouts_all_work() {
             AlgoConfig::default(),
         ] {
             let built = build(&algo, grid, 16, &spec).unwrap();
-            mha::exec::verify_allgather(
-                &built.sched,
-                &built.send,
-                &built.recv,
-                16,
-                mha::exec::Mode::Single,
-            )
-            .unwrap();
+            mha::exec::verify_allgather(&built.sched, &built.send, &built.recv, 16, Mode::Single)
+                .unwrap();
             sim.run(&built.sched).unwrap();
         }
     }

@@ -7,16 +7,17 @@
 //! tables, never with the op count itself. This binary installs a counting
 //! allocator (thread-local counters, so concurrently running tests do not
 //! disturb each other) and pins that, together with the per-op resident
-//! bytes and `size_of::<Op>()`. Every number is an exact count, so the gate
-//! does not depend on the machine.
+//! bytes, `size_of::<Op>()` and the allocations of a warm simulation run.
+//! Every number is an exact count, so the gate does not depend on the
+//! machine.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use mha::collectives::mha::{InterAlgo, MhaInterConfig, Offload};
 use mha::collectives::{build, AlgoConfig, Family};
-use mha::sched::{BufId, Op, ProcGrid};
-use mha::simnet::ClusterSpec;
+use mha::sched::{BufId, NullProbe, Op, ProcGrid};
+use mha::simnet::{ClusterSpec, EngineArena, Simulator};
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
@@ -136,13 +137,41 @@ fn build_allocations_do_not_grow_with_ops() {
 
 #[test]
 fn frozen_schedules_hold_under_160_bytes_per_op() {
-    // A flat ring holds 64 B of op row, 24 B of summary row, 4 B per edge
-    // each way (two edges per op) and 8 B of offsets: 112 B per op. The
-    // labelled layout with a dependency `Vec` per op and a second copy of
-    // every edge held about 190 B per op before malloc rounding.
+    // A flat ring holds 64 B of op row, 4 B per edge each way (two edges
+    // per op) and 8 B of offsets: 88 B per op. The labelled layout with a
+    // dependency `Vec` per op and a second copy of every edge held about
+    // 190 B per op before malloc rounding.
     for (name, cfg) in configs() {
         let fp = measure(&cfg, ProcGrid::new(16, 32));
         let per_op = fp.resident as f64 / fp.ops as f64;
         assert!(per_op <= 160.0, "{name}: {per_op:.1} B/op ({fp:?})");
     }
+}
+
+/// Allocations of one unprobed run of a flat Ring on `grid` through an
+/// engine arena already warmed by a run of the same schedule.
+fn warm_run_allocs(grid: ProcGrid) -> u64 {
+    let spec = ClusterSpec::thor();
+    let sim = Simulator::new(spec.clone()).expect("valid spec");
+    let built = build(&AlgoConfig::flat(Family::Ring), grid, 4096, &spec).expect("builds");
+    let mut arena = EngineArena::new();
+    sim.run_probed_in(&built.sched, &mut NullProbe, &mut arena)
+        .expect("runs");
+    let a0 = ALLOCS.with(Cell::get);
+    let res = sim.run_probed_in(&built.sched, &mut NullProbe, &mut arena);
+    let a1 = ALLOCS.with(Cell::get);
+    res.expect("runs");
+    a1 - a0
+}
+
+#[test]
+fn warm_runs_allocate_a_constant_amount() {
+    // A warm run allocates only its result (per-op end times, per-resource
+    // byte totals), so the count must not grow with the resource count.
+    let small = warm_run_allocs(ProcGrid::new(4, 4));
+    let large = warm_run_allocs(ProcGrid::new(8, 16));
+    assert_eq!(
+        small, large,
+        "warm runs allocate {small} times on Ring 4x4 but {large} on Ring 8x16"
+    );
 }
